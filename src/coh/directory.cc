@@ -2,7 +2,6 @@
 
 #include "coh/protocol_tables.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "telemetry/telemetry.hh"
 
 namespace inpg {
@@ -149,8 +148,6 @@ Directory::tick(Cycle now)
 void
 Directory::process(const CohMsgPtr &msg, Cycle now)
 {
-    INPG_TRACE_LINE("dir", now, "DIR %d PROC %s", node,
-                    msg->toString().c_str());
     DirEntry &e = entryFor(cfg.lineBase(msg->addr));
     if (msg->kind == CohMsgKind::GetS || msg->kind == CohMsgKind::GetX) {
         // Fires when the bank finishes serving the request, so the

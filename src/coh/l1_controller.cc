@@ -4,7 +4,6 @@
 
 #include "coh/protocol_tables.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "telemetry/telemetry.hh"
 
 namespace inpg {
@@ -496,8 +495,6 @@ L1Controller::pendingAddrForAssert() const
 void
 L1Controller::receiveMessage(const CohMsgPtr &msg, Cycle now)
 {
-    INPG_TRACE_LINE("l1", now, "L1 %d RECV %s", core,
-                    msg->toString().c_str());
     // Table dispatch: classify the message onto the L1 event space
     // (GetS/GetX panic there -- they never target an L1) and require a
     // declared-legal transition for the current stable line state. A
@@ -757,8 +754,6 @@ void
 L1Controller::send(const CohMsgPtr &msg, NodeId dst, Cycle now,
                    int priority)
 {
-    INPG_TRACE_LINE("l1", now, "L1 %d SEND->%d %s", core, dst,
-                    msg->toString().c_str());
     const int flits = carriesData(msg->kind) ? net.config().dataPacketFlits
                                              : net.config().ctrlPacketFlits;
     PacketPtr pkt =

@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
-#include "common/trace.hh"
 #include "harness/presets.hh"
 #include "noc/topology.hh"
 
@@ -78,10 +77,6 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
         appendLedger();
         return results;
     }
-
-    // The trace registry initializes lazily from the environment on
-    // first use; force that once before workers can race on it.
-    Trace::initFromEnvironment();
 
     std::atomic<std::size_t> next{0};
     const unsigned hw = std::thread::hardware_concurrency();

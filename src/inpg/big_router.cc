@@ -1,7 +1,6 @@
 #include "inpg/big_router.hh"
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace inpg {
 
@@ -33,8 +32,6 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
     if (flit->packet->dst == brNode &&
         msg->kind == CohMsgKind::InvAck && msg->fromBigRouter) {
         NodeId home = gen.onInvAckArrival(msg, now);
-        INPG_TRACE_LINE("br", now, "BR %d ACK-RELAY %s", nodeId(),
-                        msg->toString().c_str());
         if (home != INVALID_NODE) {
             flit->packet->dst = home;
             msg->toDirectory = true;
@@ -50,8 +47,6 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
     // Stop later GetX[lock] arrivals under an existing barrier.
     CohMsgPtr inv = gen.onGetXArrival(msg, now);
     if (inv) {
-        INPG_TRACE_LINE("br", now, "BR %d STOP %s", nodeId(),
-                        msg->toString().c_str());
         auto pkt = std::make_shared<Packet>(nextGenPacketId++, brNode,
                                             static_cast<NodeId>(
                                                 inv->requester),

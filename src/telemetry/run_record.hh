@@ -118,8 +118,7 @@ std::string runRecordCompiler();
 /**
  * Append-only JSONL ledger writer. One fwrite per record under a
  * mutex, flushed immediately, so concurrent appends from sweep worker
- * threads never tear lines (mirrors the thread-safe Trace sink
- * discipline; asserted in tests/test_run_record.cc).
+ * threads never tear lines (asserted in tests/test_run_record.cc).
  */
 class ExperimentLedger
 {

@@ -41,8 +41,8 @@ Rules (numbered as DESIGN.md invariants 10-19):
       single-threaded by construction -- the parallel kernel's barrier
       discipline is the only sanctioned cross-thread channel, and a
       stray atomic in a component silently turns a determinism bug
-      into a data race. Host-side infrastructure (the trace registry,
-      the recorder registry) must opt out per line.
+      into a data race. Host-side infrastructure (the recorder
+      registry, the experiment ledger) must opt out per line.
 
   coordinate-arithmetic (inv. 17)
       No arithmetic on meshWidth / meshHeight (or mesh_w / mesh_h
