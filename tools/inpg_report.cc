@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/strutil.hh"
 #include "telemetry/report.hh"
 
@@ -95,10 +96,8 @@ loadOrDie(const std::string &path, bool &ok)
     return recs;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
@@ -141,4 +140,18 @@ main(int argc, char **argv)
     }
 
     return usage();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // fatal() has already printed the message; exit 2 instead of
+    // terminating on a signal.
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 2;
+    }
 }

@@ -33,17 +33,16 @@
  */
 
 #include <cstdio>
-#include <iostream>
+#include <map>
 #include <memory>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "harness/experiment.hh"
-#include "harness/system.hh"
 #include "harness/table_printer.hh"
-#include "inpg/big_router.hh"
-#include "workload/workload.hh"
+#include "telemetry/watchdog.hh"
 
 using namespace inpg;
 
@@ -66,97 +65,52 @@ addResultRow(TablePrinter &t, const RunResult &r, int threads)
            std::to_string(r.earlyInvs), std::to_string(r.sleeps)});
 }
 
-/** One run with the optional component-level statistics dump. */
-RunResult
-runWithDump(const RunConfig &rc, bool dump)
+/**
+ * The dump_stats=1 component statistics, rendered from the run's stats
+ * snapshot: router, directory and L1 counters summed over every
+ * instance, then each lock and each big router that generated early
+ * invalidations.
+ */
+void
+printComponentStats(const RunResult &r)
 {
-    if (!dump)
-        return runBenchmark(rc);
-
-    SystemConfig sys_cfg = rc.system;
-    if (!rc.traceOutPath.empty()) {
-        sys_cfg.telemetry.traceEvents = true;
-        sys_cfg.telemetry.packets = true;
-    }
-    if (!rc.timeseriesOutPath.empty() &&
-        sys_cfg.telemetry.timeseriesEpoch == 0)
-        sys_cfg.telemetry.timeseriesEpoch = DEFAULT_TIMESERIES_EPOCH;
-    sys_cfg.finalize();
-    System system(sys_cfg);
-    Workload::Params wp;
-    wp.profile = rc.profile;
-    wp.threads = sys_cfg.numCores();
-    wp.csScale = rc.csScale;
-    wp.lockHome = rc.lockHome;
-    wp.lockKind = sys_cfg.lockKind;
-    wp.seed = sys_cfg.seed;
-    Workload w(wp, system.coherent(), system.locks(), system.sim());
-    w.start();
-    system.runUntil([&] { return w.done(); }, rc.maxCycles);
-
     std::printf("--- component statistics (%s / %s) ---\n",
-                rc.profile.name.c_str(),
-                mechanismName(sys_cfg.mechanism));
-    StatGroup routers("routers.total");
-    StatGroup dirs("dirs.total");
-    StatGroup l1s("l1s.total");
-    Network &dump_net = system.coherent().network();
-    for (NodeId r = 0; r < dump_net.numRouters(); ++r)
-        for (const auto &kv :
-             dump_net.router(r).stats.allCounters())
-            routers.counter(kv.first) += kv.second;
-    for (NodeId n = 0; n < sys_cfg.numCores(); ++n) {
-        for (const auto &kv :
-             system.coherent().directory(n).stats.allCounters())
-            dirs.counter(kv.first) += kv.second;
-        for (const auto &kv :
-             system.coherent().l1(n).stats.allCounters())
-            l1s.counter(kv.first) += kv.second;
+                r.benchmark.c_str(), mechanismName(r.mechanism));
+    const JsonValue &groups = r.stats.at("groups");
+    for (const auto &[prefix, label] :
+         {std::pair{"router.", "routers.total"},
+          std::pair{"dir.", "dirs.total"}, std::pair{"l1.", "l1s.total"}}) {
+        std::map<std::string, std::uint64_t> total;
+        for (const auto &[name, g] : groups.members())
+            if (name.starts_with(prefix))
+                for (const auto &[key, v] : g.at("counters").members())
+                    total[key] += v.asUint();
+        for (const auto &[key, v] : total)
+            std::printf("%s.%s = %llu\n", label, key.c_str(),
+                        static_cast<unsigned long long>(v));
     }
-    std::fputs(routers.dump().c_str(), stdout);
-    std::fputs(dirs.dump().c_str(), stdout);
-    std::fputs(l1s.dump().c_str(), stdout);
-    for (const auto &lock : system.locks().locks())
-        std::fputs(lock->stats.dump().c_str(), stdout);
-    for (NodeId n = 0; n < dump_net.numRouters(); ++n) {
-        if (auto *br = dynamic_cast<BigRouter *>(
-                &dump_net.router(n))) {
-            if (br->generator().stats.value("early_invs_generated"))
-                std::fputs(br->generator().stats.dump().c_str(), stdout);
-        }
+    for (const auto &[name, g] : groups.members()) {
+        const JsonValue &counters = g.at("counters");
+        if (!name.starts_with("lock.") &&
+            !(name.starts_with("inpg.gen.") &&
+              counters.at("early_invs_generated").asUint()))
+            continue;
+        for (const auto &[key, v] : counters.members())
+            std::printf("%s.%s = %llu\n", name.c_str(), key.c_str(),
+                        static_cast<unsigned long long>(v.asUint()));
+        for (const auto &[key, v] : g.at("samples").members())
+            std::printf("%s.%s = mean %g min %g max %g n %llu\n",
+                        name.c_str(), key.c_str(),
+                        v.at("mean").asDouble(), v.at("min").asDouble(),
+                        v.at("max").asDouble(),
+                        static_cast<unsigned long long>(
+                            v.at("count").asUint()));
     }
     std::printf("---\n");
-
-    RunResult r;
-    r.benchmark = rc.profile.name;
-    r.mechanism = sys_cfg.mechanism;
-    r.lockKind = sys_cfg.lockKind;
-    r.roiCycles = w.roiFinish();
-    r.csCompleted = w.csCompleted();
-    r.parallelCycles = w.totalCycles(ThreadPhase::Parallel);
-    r.cohCycles = w.totalCycles(ThreadPhase::Coh) +
-                  w.totalCycles(ThreadPhase::Sleep);
-    r.sleepCycles = w.totalCycles(ThreadPhase::Sleep);
-    r.cseCycles = w.totalCycles(ThreadPhase::Cse);
-    r.rttMean = system.coherent().cohStats().rttHistogram.mean();
-    r.rttMax = system.coherent().cohStats().rttHistogram.max();
-    r.earlyInvs = system.totalEarlyInvs();
-
-    Telemetry *telem = system.telemetry();
-    if (telem && telem->lco)
-        r.lco = telem->lco->summary();
-    if (telem && telem->trace && !rc.traceOutPath.empty())
-        telem->trace->writeJsonFile(rc.traceOutPath);
-    if (telem && telem->timeseries && !rc.timeseriesOutPath.empty())
-        telem->timeseries->writeFile(rc.timeseriesOutPath);
-    r.stats = system.statsSnapshot();
-    return r;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config overrides;
     overrides.loadArgs(argc, argv);
@@ -206,7 +160,9 @@ main(int argc, char **argv)
     const int threads = rc.system.numCores();
     JsonValue runs = JsonValue::array();
     auto one_run = [&](const RunConfig &run_rc) {
-        RunResult r = runWithDump(run_rc, dump);
+        RunResult r = runBenchmark(run_rc);
+        if (dump)
+            printComponentStats(r);
         addResultRow(t, r, threads);
         if (ledger)
             ledger->append(makeRunRecord(run_rc, r));
@@ -279,4 +235,18 @@ main(int argc, char **argv)
     else
         std::fputs(t.render().c_str(), stdout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // fatal() has already printed the message; a rejected config exits
+    // 2 (as perfbench_driver does) instead of terminating on a signal.
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 2;
+    }
 }

@@ -37,6 +37,7 @@
 
 #include "coh/protocol_tables.hh"
 #include "coh/protocol_verify.hh"
+#include "common/logging.hh"
 #include "noc/topology.hh"
 
 namespace {
@@ -272,10 +273,8 @@ runSelfTest()
     return failures ? 1 : 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bool self_test = false;
     bool verbose = false;
@@ -296,4 +295,18 @@ main(int argc, char **argv)
     if (self_test && rc == 0)
         rc = runSelfTest();
     return rc;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // fatal() has already printed the message; exit 2 instead of
+    // terminating on a signal.
+    try {
+        return run(argc, argv);
+    } catch (const inpg::FatalError &) {
+        return 2;
+    }
 }

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "verify/model_check.hh"
 
 namespace {
@@ -135,10 +136,8 @@ usage(const char *argv0)
     return 2;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bool selfTest = false;
     bool verbose = false;
@@ -200,4 +199,18 @@ main(int argc, char **argv)
     if (!mutate.empty())
         return runMutation(mutate);
     return runSweep(cfg, scenarios, brAxis);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // fatal() has already printed the message; exit 2 instead of
+    // terminating on a signal.
+    try {
+        return run(argc, argv);
+    } catch (const inpg::FatalError &) {
+        return 2;
+    }
 }
