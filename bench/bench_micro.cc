@@ -3,46 +3,23 @@
  * Micro-benchmarks (google-benchmark) of the simulator's hot
  * components: router pipeline throughput, barrier table operations,
  * directory processing, arbiters and the event queue. These bound the
- * wall-clock cost of the figure-level benches.
- *
- * `bench_micro --json [--out FILE] [--hotpath-out FILE]` instead runs
- * two measurements and emits JSON:
- *  - the kernel fast-forward A/B (one long-CS lock-contention workload
- *    with idle fast-forwarding off and on), written to --out;
- *  - the hot-path run (a busy TAS spin-contention workload that
- *    fast-forward cannot elide), written to --hotpath-out: absolute
- *    events/sec and CPU time under `runs.optimized` (compared against
- *    the committed BENCH_hotpath.json by run_benches.sh), the
- *    schedule-path heap-allocation count, a per-subsystem wall-clock
- *    phase split, a fabric-comparison `topology` section (8x8 mesh vs
- *    torus vs cmesh:4x4x4 at equal core count, each re-checked
- *    bit-identical under threads=2) and the thread-scaling `parallel`
- *    section.
- * `run_benches.sh --quick` and tools/ci.sh drive this mode; simulated
- * results of the hot path are pinned by the golden tests instead.
+ * wall-clock cost of the figure-level benches. End-to-end simulator
+ * speed is measured by perfbench/ (see perfbench/README.md).
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "coh/coherent_system.hh"
 #include "common/histogram.hh"
 #include "common/rng.hh"
-#include "harness/system.hh"
 #include "inpg/lock_barrier_table.hh"
 #include "noc/arbiter.hh"
-#include "noc/flit_pool.hh"
 #include "noc/network.hh"
-#include "noc/topology.hh"
 #include "sim/simulator.hh"
-#include "workload/benchmark_profile.hh"
-#include "workload/workload.hh"
 
 using namespace inpg;
 
@@ -183,653 +160,4 @@ BM_HistogramAdd(benchmark::State &state)
 }
 BENCHMARK(BM_HistogramAdd);
 
-// ---------------------------------------------------------------------
-// --json mode: kernel fast-forward A/B on a long-CS contention workload
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * Provenance stamp emitted into every BENCH_*.json: the commit the
- * numbers were measured at (INPG_GIT_SHA, exported by run_benches.sh),
- * the build flavor, the compiler, and the workload's config flags.
- * Perf results are only comparable within one (sha, flavor) pair.
- */
-void
-emitMeta(std::FILE *out, const char *config_flags)
-{
-#ifndef INPG_BENCH_BUILD_FLAVOR
-#define INPG_BENCH_BUILD_FLAVOR "unknown"
-#endif
-    const char *sha = std::getenv("INPG_GIT_SHA");
-    const char *dirty = std::getenv("INPG_GIT_DIRTY");
-    const char *ledger = std::getenv("INPG_LEDGER_PATH");
-    std::fprintf(out,
-                 "  \"meta\": {\n"
-                 "    \"git_sha\": \"%s\",\n"
-                 "    \"dirty\": %s,\n"
-                 "    \"build_flavor\": \"%s\",\n"
-                 "    \"compiler\": \"%s\",\n"
-                 "    \"hw_threads\": %u,\n"
-                 "    \"ledger\": \"%s\",\n"
-                 "    \"config_flags\": \"%s\"\n"
-                 "  },\n",
-                 sha && *sha ? sha : "unknown",
-                 dirty && std::strcmp(dirty, "1") == 0 ? "true"
-                                                       : "false",
-                 INPG_BENCH_BUILD_FLAVOR, __VERSION__,
-                 std::thread::hardware_concurrency(),
-                 ledger && *ledger ? ledger : "",
-                 config_flags);
-}
-
-struct KernelRunMetrics {
-    Cycle simCycles = 0;
-    Cycle roiCycles = 0;
-    std::uint64_t csCompleted = 0;
-    std::uint64_t ffCycles = 0;
-    std::uint64_t ffJumps = 0;
-    double wallNs = 0;
-
-    double
-    nsPerCycle() const
-    {
-        return simCycles ? wallNs / static_cast<double>(simCycles) : 0;
-    }
-};
-
-/**
- * 16 QSL threads contending on one lock with long CS bodies: while the
- * holder executes its critical section every waiter sleeps, so the
- * fabric goes fully idle between protocol bursts -- the workload class
- * the fast-forward kernel targets.
- */
-BenchmarkProfile
-longCsProfile()
-{
-    BenchmarkProfile p = benchmarkByName("imag");
-    p.name = "long_cs_contention";
-    p.totalCs = 256;
-    p.avgCsCycles = 3000;
-    p.avgParallelCycles = 1500;
-    p.numLocks = 1;
-    p.memGapCycles = 0; // no background traffic: pure lock contention
-    return p;
-}
-
-KernelRunMetrics
-runKernelWorkload(bool fast_forward)
-{
-    SystemConfig cfg;
-    cfg.noc.meshWidth = 4;
-    cfg.noc.meshHeight = 4;
-    cfg.lockKind = LockKind::Qsl;
-    cfg.finalize();
-
-    System system(cfg);
-    system.sim().setFastForward(fast_forward);
-
-    Workload::Params wp;
-    wp.profile = longCsProfile();
-    wp.threads = cfg.numCores();
-    wp.csScale = 1.0;
-    wp.lockKind = cfg.lockKind;
-    wp.seed = cfg.seed;
-    Workload workload(wp, system.coherent(), system.locks(),
-                      system.sim());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    workload.start();
-    system.runUntil([&] { return workload.done(); });
-    const auto t1 = std::chrono::steady_clock::now();
-
-    KernelRunMetrics m;
-    m.simCycles = system.sim().now();
-    m.roiCycles = workload.roiFinish();
-    m.csCompleted = workload.csCompleted();
-    m.ffCycles = system.sim().cyclesFastForwarded();
-    m.ffJumps = system.sim().fastForwardJumps();
-    m.wallNs = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    return m;
-}
-
-void
-printKernelJson(std::FILE *out, const KernelRunMetrics &off,
-                const KernelRunMetrics &on, const FlitPool &pool)
-{
-    auto emitRun = [out](const char *label, const KernelRunMetrics &m) {
-        std::fprintf(out,
-                     "    \"%s\": {\n"
-                     "      \"sim_cycles\": %llu,\n"
-                     "      \"roi_cycles\": %llu,\n"
-                     "      \"cs_completed\": %llu,\n"
-                     "      \"wall_ns\": %.0f,\n"
-                     "      \"ns_per_sim_cycle\": %.3f,\n"
-                     "      \"cycles_fast_forwarded\": %llu,\n"
-                     "      \"fast_forward_jumps\": %llu\n"
-                     "    }",
-                     label,
-                     static_cast<unsigned long long>(m.simCycles),
-                     static_cast<unsigned long long>(m.roiCycles),
-                     static_cast<unsigned long long>(m.csCompleted),
-                     m.wallNs, m.nsPerCycle(),
-                     static_cast<unsigned long long>(m.ffCycles),
-                     static_cast<unsigned long long>(m.ffJumps));
-    };
-
-    const bool identical = off.roiCycles == on.roiCycles &&
-                           off.csCompleted == on.csCompleted &&
-                           off.simCycles == on.simCycles;
-    const double speedup = on.wallNs > 0 ? off.wallNs / on.wallNs : 0;
-
-    std::fprintf(out, "{\n"
-                      "  \"bench\": \"kernel_fast_forward\",\n");
-    emitMeta(out, "mesh=4x4 lock=qsl cs_scale=1.0 seed=1");
-    std::fprintf(out, "  \"workload\": \"long_cs_contention\",\n"
-                      "  \"mesh\": \"4x4\",\n"
-                      "  \"lock\": \"qsl\",\n"
-                      "  \"runs\": {\n");
-    emitRun("fast_forward_off", off);
-    std::fprintf(out, ",\n");
-    emitRun("fast_forward_on", on);
-    std::fprintf(out,
-                 "\n  },\n"
-                 "  \"speedup\": %.2f,\n"
-                 "  \"bit_identical\": %s,\n"
-                 "  \"flit_pool\": {\n"
-                 "    \"allocated\": %llu,\n"
-                 "    \"reused\": %llu,\n"
-                 "    \"hit_rate\": %.4f\n"
-                 "  }\n"
-                 "}\n",
-                 speedup, identical ? "true" : "false",
-                 static_cast<unsigned long long>(pool.allocated()),
-                 static_cast<unsigned long long>(pool.reused()),
-                 pool.hitRate());
-}
-
-// ---------------------------------------------------------------------
-// Hot path: busy TAS contention, absolute events/sec
-// ---------------------------------------------------------------------
-
-/**
- * Process CPU time in nanoseconds: immune to other processes on a
- * loaded host, which wall clocks are not (the hotpath run takes
- * ~100 ms, well under typical scheduler noise).
- */
-double
-cpuNowNs()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e9 +
-           static_cast<double>(ts.tv_nsec);
-}
-
-struct HotpathMetrics {
-    Cycle simCycles = 0;
-    Cycle roiCycles = 0;
-    std::uint64_t csCompleted = 0;
-    std::uint64_t ffCycles = 0;
-    double cpuNs = 0;
-    std::uint64_t eventsScheduled = 0;
-    std::uint64_t eventsExecuted = 0;
-    std::uint64_t scheduleHeapAllocs = 0;
-
-    double
-    eventsPerSec() const
-    {
-        return cpuNs > 0 ? static_cast<double>(eventsExecuted) * 1e9 /
-                               cpuNs
-                         : 0;
-    }
-};
-
-/**
- * 16 TAS threads hammering one lock with short critical sections: the
- * spinners keep the fabric saturated, so fast-forward elides nothing
- * and wall-clock time is pure hot-path cost (scheduler, directory and
- * L1 lookups, route computation).
- */
-BenchmarkProfile
-busySpinProfile()
-{
-    BenchmarkProfile p = benchmarkByName("imag");
-    p.name = "busy_spin_contention";
-    p.totalCs = 384;
-    p.avgCsCycles = 200;
-    p.avgParallelCycles = 100;
-    p.numLocks = 1;
-    p.memGapCycles = 0;
-    return p;
-}
-
-HotpathMetrics
-runHotpathWorkload(Simulator::HostPhaseProfile *profile, int mesh = 4)
-{
-    SystemConfig cfg;
-    cfg.noc.meshWidth = mesh;
-    cfg.noc.meshHeight = mesh;
-    cfg.lockKind = LockKind::Tas;
-    cfg.finalize();
-
-    System system(cfg);
-    system.sim().setHostProfile(profile);
-
-    Workload::Params wp;
-    wp.profile = busySpinProfile();
-    wp.threads = cfg.numCores();
-    wp.csScale = 1.0;
-    wp.lockKind = cfg.lockKind;
-    wp.seed = cfg.seed;
-    Workload workload(wp, system.coherent(), system.locks(),
-                      system.sim());
-
-    const double t0 = cpuNowNs();
-    workload.start();
-    system.runUntil([&] { return workload.done(); });
-    const double t1 = cpuNowNs();
-
-    HotpathMetrics m;
-    m.simCycles = system.sim().now();
-    m.roiCycles = workload.roiFinish();
-    m.csCompleted = workload.csCompleted();
-    m.ffCycles = system.sim().cyclesFastForwarded();
-    m.cpuNs = t1 - t0;
-    m.eventsScheduled = system.sim().events().scheduledTotal();
-    m.eventsExecuted = system.sim().events().executedTotal();
-    m.scheduleHeapAllocs = system.sim().events().scheduleHeapAllocs();
-    return m;
-}
-
-/**
- * Wall-clock nanoseconds for the thread-scaling curve: intra-run
- * parallelism trades total CPU time for latency, so CPU time (which
- * sums across workers) would hide the very effect being measured.
- */
-double
-wallNowNs()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e9 +
-           static_cast<double>(ts.tv_nsec);
-}
-
-/**
- * One busy-spin run at a given mesh radix and kernel thread count for
- * the scaling curve. Same workload class as the hotpath run; csScale
- * trims the 16x16 runs to bench-friendly lengths.
- */
-HotpathMetrics
-runScalingWorkload(int mesh, int threads, double cs_scale)
-{
-    SystemConfig cfg;
-    cfg.noc.meshWidth = mesh;
-    cfg.noc.meshHeight = mesh;
-    cfg.lockKind = LockKind::Tas;
-    cfg.threads = threads;
-    cfg.finalize();
-
-    System system(cfg);
-
-    Workload::Params wp;
-    wp.profile = busySpinProfile();
-    wp.threads = cfg.numCores();
-    wp.csScale = cs_scale;
-    wp.lockKind = cfg.lockKind;
-    wp.seed = cfg.seed;
-    Workload workload(wp, system.coherent(), system.locks(),
-                      system.sim());
-
-    const double t0 = wallNowNs();
-    workload.start();
-    system.runUntil([&] { return workload.done(); });
-    const double t1 = wallNowNs();
-
-    HotpathMetrics m;
-    m.simCycles = system.sim().now();
-    m.roiCycles = workload.roiFinish();
-    m.csCompleted = workload.csCompleted();
-    m.cpuNs = t1 - t0; // wall ns for this struct's scaling use
-    m.eventsExecuted = system.sim().events().executedTotal();
-    return m;
-}
-
-/**
- * Thread-scaling curve: events/s and wall-clock speedup vs threads=1
- * on 8x8 and 16x16 meshes, threads in {1,2,4,8}, best-of-REPS each.
- * bit_identical records whether every simulated observable matched
- * the threads=1 run; hw_threads records the host's parallelism budget
- * (speedups are bounded by it -- on a 1-CPU host the curve measures
- * barrier overhead, not gain).
- */
-std::string
-buildParallelScalingJson()
-{
-    constexpr int REPS = 3;
-    const int threadCounts[] = {1, 2, 4, 8};
-    std::string json = "  \"parallel\": {\n";
-    json += "    \"hw_threads\": " +
-            std::to_string(std::thread::hardware_concurrency()) +
-            ",\n";
-    json += "    \"threads\": [1, 2, 4, 8],\n";
-    bool firstMesh = true;
-    for (int mesh : {8, 16}) {
-        const double csScale = mesh == 16 ? 0.25 : 1.0;
-        HotpathMetrics base;
-        if (!firstMesh)
-            json += ",\n";
-        firstMesh = false;
-        json += "    \"mesh_" + std::to_string(mesh) + "x" +
-                std::to_string(mesh) + "\": {\n";
-        bool firstRun = true;
-        for (int t : threadCounts) {
-            HotpathMetrics best;
-            for (int r = 0; r < REPS; ++r) {
-                HotpathMetrics m = runScalingWorkload(mesh, t, csScale);
-                if (r == 0 || m.cpuNs < best.cpuNs)
-                    best = m;
-            }
-            if (t == 1)
-                base = best;
-            const bool identical =
-                best.simCycles == base.simCycles &&
-                best.roiCycles == base.roiCycles &&
-                best.csCompleted == base.csCompleted &&
-                best.eventsExecuted == base.eventsExecuted;
-            const double speedup =
-                best.cpuNs > 0 ? base.cpuNs / best.cpuNs : 0;
-            char buf[256];
-            std::snprintf(
-                buf, sizeof buf,
-                "%s      \"threads_%d\": {\n"
-                "        \"wall_ns\": %.0f,\n"
-                "        \"events_per_sec\": %.0f,\n"
-                "        \"speedup\": %.2f,\n"
-                "        \"bit_identical\": %s\n"
-                "      }",
-                firstRun ? "" : ",\n", t, best.cpuNs,
-                best.eventsPerSec(), speedup,
-                identical ? "true" : "false");
-            firstRun = false;
-            json += buf;
-        }
-        json += "\n    }";
-    }
-    json += "\n  }\n";
-    return json;
-}
-
-/**
- * One busy-spin run on an arbitrary fabric (`topology=` spec string)
- * for the fabric-comparison section. Same workload class as the
- * hotpath run.
- */
-HotpathMetrics
-runFabricWorkload(const char *spec_text, int threads)
-{
-    SystemConfig cfg;
-    TopologySpec::parse(spec_text).applyTo(cfg.noc);
-    cfg.lockKind = LockKind::Tas;
-    cfg.threads = threads;
-    cfg.finalize();
-
-    System system(cfg);
-
-    Workload::Params wp;
-    wp.profile = busySpinProfile();
-    wp.threads = cfg.numCores();
-    wp.csScale = 1.0;
-    wp.lockKind = cfg.lockKind;
-    wp.seed = cfg.seed;
-    Workload workload(wp, system.coherent(), system.locks(),
-                      system.sim());
-
-    const double t0 = wallNowNs();
-    workload.start();
-    system.runUntil([&] { return workload.done(); });
-    const double t1 = wallNowNs();
-
-    HotpathMetrics m;
-    m.simCycles = system.sim().now();
-    m.roiCycles = workload.roiFinish();
-    m.csCompleted = workload.csCompleted();
-    m.cpuNs = t1 - t0; // wall ns, comparable with the parallel section
-    m.eventsExecuted = system.sim().events().executedTotal();
-    return m;
-}
-
-/**
- * Fabric comparison at equal core count (64): the paper's 8x8 mesh
- * baseline vs the torus (wrap links shorten average hop distance but
- * route through dateline escape VCs) vs the concentrated mesh
- * (cmesh:4x4x4 -- 16 routers, 4 cores each, NI fan-in). Each point is
- * best-of-REPS serial wall time; bit_identical_threads2 records
- * whether a threads=2 run of the same config matched every simulated
- * observable (the DESIGN.md Section 12 cross-fabric identity claim,
- * re-checked at bench time).
- */
-std::string
-buildTopologyJson()
-{
-    constexpr int REPS = 3;
-    const char *fabrics[] = {"mesh:8x8", "torus:8x8", "cmesh:4x4x4"};
-    std::string json = "  \"topology\": {\n";
-    bool first = true;
-    for (const char *fabric : fabrics) {
-        HotpathMetrics best;
-        for (int r = 0; r < REPS; ++r) {
-            HotpathMetrics m = runFabricWorkload(fabric, 1);
-            if (r == 0 || m.cpuNs < best.cpuNs)
-                best = m;
-        }
-        const HotpathMetrics par = runFabricWorkload(fabric, 2);
-        const bool identical =
-            par.simCycles == best.simCycles &&
-            par.roiCycles == best.roiCycles &&
-            par.csCompleted == best.csCompleted &&
-            par.eventsExecuted == best.eventsExecuted;
-        char buf[320];
-        std::snprintf(
-            buf, sizeof buf,
-            "%s    \"%s\": {\n"
-            "      \"wall_ns\": %.0f,\n"
-            "      \"events_per_sec\": %.0f,\n"
-            "      \"sim_cycles\": %llu,\n"
-            "      \"roi_cycles\": %llu,\n"
-            "      \"cs_completed\": %llu,\n"
-            "      \"bit_identical_threads2\": %s\n"
-            "    }",
-            first ? "" : ",\n", fabric, best.cpuNs,
-            best.eventsPerSec(),
-            static_cast<unsigned long long>(best.simCycles),
-            static_cast<unsigned long long>(best.roiCycles),
-            static_cast<unsigned long long>(best.csCompleted),
-            identical ? "true" : "false");
-        first = false;
-        json += buf;
-    }
-    json += "\n  },\n";
-    return json;
-}
-
-void
-printHotpathJson(std::FILE *out, const HotpathMetrics &opt,
-                 const Simulator::HostPhaseProfile &phases,
-                 const Simulator::HostPhaseProfile &phases8x8,
-                 const std::string &topology_json,
-                 const std::string &parallel_json)
-{
-    auto emitRun = [out](const char *label, const HotpathMetrics &m) {
-        std::fprintf(out,
-                     "    \"%s\": {\n"
-                     "      \"sim_cycles\": %llu,\n"
-                     "      \"roi_cycles\": %llu,\n"
-                     "      \"cs_completed\": %llu,\n"
-                     "      \"cycles_fast_forwarded\": %llu,\n"
-                     "      \"cpu_ns\": %.0f,\n"
-                     "      \"events_scheduled\": %llu,\n"
-                     "      \"events_executed\": %llu,\n"
-                     "      \"events_per_sec\": %.0f,\n"
-                     "      \"schedule_heap_allocs\": %llu\n"
-                     "    }",
-                     label,
-                     static_cast<unsigned long long>(m.simCycles),
-                     static_cast<unsigned long long>(m.roiCycles),
-                     static_cast<unsigned long long>(m.csCompleted),
-                     static_cast<unsigned long long>(m.ffCycles),
-                     m.cpuNs,
-                     static_cast<unsigned long long>(m.eventsScheduled),
-                     static_cast<unsigned long long>(m.eventsExecuted),
-                     m.eventsPerSec(),
-                     static_cast<unsigned long long>(
-                         m.scheduleHeapAllocs));
-    };
-
-    auto emitSplit = [out](const char *label,
-                           const Simulator::HostPhaseProfile &p,
-                           const char *trailer) {
-        const double total = p.eventsSec + p.routersSec + p.nisSec +
-                             p.dirsSec + p.otherSec;
-        auto frac = [total](double s) {
-            return total > 0 ? s / total : 0;
-        };
-        std::fprintf(out,
-                     "  \"%s\": {\n"
-                     "    \"events\": %.4f,\n"
-                     "    \"routers\": %.4f,\n"
-                     "    \"nis\": %.4f,\n"
-                     "    \"dirs\": %.4f,\n"
-                     "    \"other\": %.4f,\n"
-                     "    \"profiled_cycles\": %llu\n"
-                     "  }%s\n",
-                     label, frac(p.eventsSec), frac(p.routersSec),
-                     frac(p.nisSec), frac(p.dirsSec), frac(p.otherSec),
-                     static_cast<unsigned long long>(p.profiledCycles),
-                     trailer);
-    };
-
-    std::fprintf(out, "{\n"
-                      "  \"bench\": \"hotpath\",\n");
-    emitMeta(out, "mesh=4x4 lock=tas cs_scale=1.0 seed=1 reps=3");
-    std::fprintf(out, "  \"workload\": \"busy_spin_contention\",\n"
-                      "  \"mesh\": \"4x4\",\n"
-                      "  \"lock\": \"tas\",\n"
-                      "  \"runs\": {\n");
-    emitRun("optimized", opt);
-    std::fprintf(out, "\n  },\n");
-    emitSplit("phase_split_optimized", phases, ",");
-    emitSplit("phase_split_optimized_8x8", phases8x8, ",");
-    std::fputs(topology_json.c_str(), out);
-    std::fputs(parallel_json.c_str(), out);
-    std::fprintf(out, "}\n");
-}
-
-int
-runHotpathMode(const char *out_path)
-{
-    // Keep the best (minimum) CPU time over the repetitions: host
-    // scheduling noise only ever slows a run down.
-    constexpr int REPS = 3;
-    HotpathMetrics opt;
-    for (int r = 0; r < REPS; ++r) {
-        HotpathMetrics m = runHotpathWorkload(nullptr);
-        if (r == 0 || m.cpuNs < opt.cpuNs)
-            opt = m;
-    }
-    // Separate profiled passes (clock reads around every tick distort
-    // absolute time, so they are excluded from the timed runs). The
-    // 8x8 pass shows how the split shifts with mesh radix.
-    Simulator::HostPhaseProfile phases;
-    runHotpathWorkload(&phases);
-    Simulator::HostPhaseProfile phases8x8;
-    runHotpathWorkload(&phases8x8, 8);
-
-    const std::string topology = buildTopologyJson();
-    const std::string parallel = buildParallelScalingJson();
-
-    printHotpathJson(stdout, opt, phases, phases8x8, topology, parallel);
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", out_path);
-            return 1;
-        }
-        printHotpathJson(f, opt, phases, phases8x8, topology, parallel);
-        std::fclose(f);
-    }
-
-    if (opt.scheduleHeapAllocs != 0) {
-        std::fprintf(stderr,
-                     "FAIL: %llu heap allocations on the schedule path "
-                     "(expected 0)\n",
-                     static_cast<unsigned long long>(
-                         opt.scheduleHeapAllocs));
-        return 1;
-    }
-    return 0;
-}
-
-int
-runJsonMode(const char *out_path)
-{
-    // FF-off first, then FF-on with fresh pool statistics so the hit
-    // rate reflects one run (the free list itself stays warm, as in any
-    // long-lived process).
-    KernelRunMetrics off = runKernelWorkload(false);
-    FlitPool::local().resetStats();
-    KernelRunMetrics on = runKernelWorkload(true);
-
-    printKernelJson(stdout, off, on, FlitPool::local());
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", out_path);
-            return 1;
-        }
-        printKernelJson(f, off, on, FlitPool::local());
-        std::fclose(f);
-    }
-
-    if (!(off.roiCycles == on.roiCycles &&
-          off.csCompleted == on.csCompleted)) {
-        std::fprintf(stderr,
-                     "FAIL: fast-forward changed simulated results\n");
-        return 1;
-    }
-    return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    bool json = false;
-    const char *out_path = nullptr;
-    const char *hotpath_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0)
-            json = true;
-        else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-        else if (std::strcmp(argv[i], "--hotpath-out") == 0 &&
-                 i + 1 < argc)
-            hotpath_path = argv[++i];
-    }
-    if (json) {
-        int rc = runJsonMode(out_path);
-        rc |= runHotpathMode(hotpath_path);
-        return rc;
-    }
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,29 +1,26 @@
 #!/bin/sh
 # Regenerate every paper table/figure (see README).
-# --quick:    only the perf smokes (bench_micro --json): kernel
-#             fast-forward A/B and busy hot-path events/sec, refreshing
-#             build/BENCH_*.json and the tracked repo-root copies,
-#             plus the experiment-ledger regression gate: a fresh
-#             mini-sweep is appended to build/BENCH_ledger.jsonl and
-#             checked with `inpg_report regress` against the committed
-#             sweeps/BASELINE_ledger.jsonl (see EXPERIMENTS.md for the
-#             regeneration recipe when simulated behavior changes
-#             intentionally).
+# --quick:    only the experiment-ledger regression gate: a fresh
+#             mini-sweep is written to build/BENCH_ledger.jsonl and
+#             checked bit-exactly with `inpg_report regress` against
+#             the committed sweeps/BASELINE_ledger.jsonl (see
+#             EXPERIMENTS.md for the regeneration recipe when
+#             simulated behavior changes intentionally). Simulator
+#             speed is measured by perfbench/ (python3 perfbench/run.py).
 # --ledger-out=PATH (any position): experiment ledger to append runs
 #             to; default sweeps/ledger.jsonl. Exported to benches as
-#             INPG_LEDGER_PATH and stamped into BENCH_*.json meta.
+#             INPG_LEDGER_PATH.
 # --sanitize: configure + build + ctest under ASan/UBSan in
 #             build-asan/ (exercises the raw-storage containers and
 #             callback small-buffer code under the sanitizers).
 # --tsan:     configure + build under ThreadSanitizer in build-tsan/
 #             and run the threaded suites (parallel simulation
-#             kernel, sweep-runner pool, the thread-safe Trace sink,
-#             determinism harness).
+#             kernel, sweep-runner pool, determinism harness).
 repo_root=$(dirname "$0")
-# Provenance for BENCH_*.json: bench_micro stamps its output with this
-# SHA (plus a dirty flag) so perf numbers stay attributable to a
-# commit. A pre-set INPG_GIT_SHA that disagrees with the checkout is a
-# stale-provenance bug -- refuse to stamp numbers with the wrong SHA.
+# Provenance for ledger records: every RunRecord is stamped with this
+# SHA (plus a dirty flag) so results stay attributable to a commit. A
+# pre-set INPG_GIT_SHA that disagrees with the checkout is a
+# stale-provenance bug -- refuse to stamp records with the wrong SHA.
 head_sha=$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null \
            || echo unknown)
 if [ -n "$INPG_GIT_SHA" ] && [ "$INPG_GIT_SHA" != "$head_sha" ]; then
@@ -69,45 +66,13 @@ if [ "$1" = "--tsan" ]; then
         --target inpg_tests
     cd "$repo_root/build-tsan"
     # The race-prone surface: the parallel simulation kernel's barrier
-    # discipline, the sweep runner's worker pool and the
-    # mutex-serialized Trace sink (plus the determinism fingerprints,
-    # which would surface any cross-thread state bleed as a mismatch).
-    exec ctest --output-on-failure -R 'Parallel|Sweep|Trace|Determinism'
+    # discipline and the sweep runner's worker pool (plus the
+    # determinism fingerprints, which would surface any cross-thread
+    # state bleed as a mismatch).
+    exec ctest --output-on-failure -R 'Parallel|Sweep|Determinism'
 fi
 if [ "$1" = "--quick" ]; then
     set -e
-    "$repo_root"/build/bench/bench_micro --json \
-        --out "$repo_root"/build/BENCH_kernel.json \
-        --hotpath-out "$repo_root"/build/BENCH_hotpath.json
-    # Gate before refreshing the committed copy: the fresh hotpath
-    # events/sec must be within 5% of the committed baseline's. Catches
-    # silent perf regressions at bench time, not review time. (Bit
-    # identity of simulated results is pinned by the golden tests.)
-    python3 - "$repo_root"/BENCH_hotpath.json \
-        "$repo_root"/build/BENCH_hotpath.json <<'EOF'
-import json, sys
-old_path, new_path = sys.argv[1], sys.argv[2]
-new = json.load(open(new_path))
-for fabric, row in new.get("topology", {}).items():
-    if row.get("bit_identical_threads2") is not True:
-        sys.exit("FAIL: fabric %s diverged between the serial and "
-                 "threads=2 kernels (topology section)" % fabric)
-try:
-    old = json.load(open(old_path))
-except FileNotFoundError:
-    print("hotpath gate: no committed baseline; skipping perf check")
-    sys.exit(0)
-old_eps = old["runs"]["optimized"]["events_per_sec"]
-new_eps = new["runs"]["optimized"]["events_per_sec"]
-ratio = new_eps / old_eps if old_eps else float("inf")
-print("hotpath gate: %.0f -> %.0f events/sec (%.2fx)"
-      % (old_eps, new_eps, ratio))
-if ratio < 0.95:
-    sys.exit("FAIL: hot path regressed >5%% vs the "
-             "committed BENCH_hotpath.json (%.0f -> %.0f events/sec); "
-             "fix the regression or regenerate the baseline knowingly"
-             % (old_eps, new_eps))
-EOF
     # Experiment-ledger regression gate: re-run the baseline's
     # mini-sweep (freq under all four mechanisms on mesh:4x4; the exact
     # invocation EXPERIMENTS.md documents for regenerating
@@ -127,9 +92,6 @@ EOF
     fi
     # The gated runs join the append-only history ledger.
     cat "$fresh" >> "$INPG_LEDGER_PATH"
-    # Keep the perf trajectory visible at the repo root (committed).
-    cp "$repo_root"/build/BENCH_kernel.json \
-       "$repo_root"/build/BENCH_hotpath.json "$repo_root"/
     exit 0
 fi
 for b in "$repo_root"/build/bench/bench_*; do

@@ -18,7 +18,6 @@ FlitPool::make(PacketPtr pkt, FlitType type, int seq)
     if (!freeList.empty()) {
         flit = freeList.back();
         freeList.pop_back();
-        ++freeListHits;
         flit->packet = std::move(pkt);
         flit->type = type;
         flit->seq = seq;
@@ -26,7 +25,6 @@ FlitPool::make(PacketPtr pkt, FlitType type, int seq)
         flit->bufferedAt = 0;
     } else {
         flit = new Flit(std::move(pkt), type, seq);
-        ++freshAllocs;
     }
     flit->pool = this;
     flit->refs = 1;
@@ -43,17 +41,10 @@ FlitPool::recycle(Flit *flit)
     freeList.push_back(flit);
 }
 
-void
-FlitPool::trim()
+FlitPool::~FlitPool()
 {
     for (Flit *flit : freeList)
         delete flit;
-    freeList.clear();
-}
-
-FlitPool::~FlitPool()
-{
-    trim();
 }
 
 namespace detail {

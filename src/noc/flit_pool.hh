@@ -28,7 +28,6 @@
 #ifndef INPG_NOC_FLIT_POOL_HH
 #define INPG_NOC_FLIT_POOL_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "noc/flit.hh"
@@ -51,36 +50,6 @@ class FlitPool
     /** Allocate (or recycle) a flit. */
     FlitPtr make(PacketPtr pkt, FlitType type, int seq);
 
-    /** Fresh heap allocations performed. */
-    std::uint64_t allocated() const { return freshAllocs; }
-
-    /** Allocations served from the free list. */
-    std::uint64_t reused() const { return freeListHits; }
-
-    /** Fraction of allocations served without touching the heap. */
-    double
-    hitRate() const
-    {
-        const std::uint64_t total = freshAllocs + freeListHits;
-        return total ? static_cast<double>(freeListHits) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-
-    /** Flits currently parked on the free list. */
-    std::size_t freeListSize() const { return freeList.size(); }
-
-    /** Release the free list back to the heap (stats are kept). */
-    void trim();
-
-    /** Zero the allocation counters (perf harness epochs). */
-    void
-    resetStats()
-    {
-        freshAllocs = 0;
-        freeListHits = 0;
-    }
-
   private:
     friend void detail::releaseFlit(Flit *flit);
 
@@ -88,8 +57,6 @@ class FlitPool
     void recycle(Flit *flit);
 
     std::vector<Flit *> freeList;
-    std::uint64_t freshAllocs = 0;
-    std::uint64_t freeListHits = 0;
 };
 
 } // namespace inpg

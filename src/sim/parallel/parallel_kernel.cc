@@ -15,9 +15,9 @@ namespace inpg {
 namespace {
 
 /**
- * Coordinator router share from the measured hotpath phase split
- * (BENCH_hotpath.json, 8x8 optimized: routers ~77% of cycle time,
- * events+NIs+dirs ~23%). The coordinator always carries the non-router
+ * Coordinator router share from a measured host-phase split of a
+ * busy 8x8 run (routers ~77% of cycle time, events+NIs+dirs ~23%;
+ * DESIGN.md section 11). The coordinator always carries the non-router
  * load, so it keeps the router fraction x that equalizes
  * coordinator (O + R*x) and worker (R * (1 - x) / W) per-quantum work.
  * Pure arithmetic on constants: the partition is deterministic.

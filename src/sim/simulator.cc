@@ -151,7 +151,7 @@ Simulator::stepProfiled()
     // Identical cycle semantics to step(), with wall-clock accounting
     // around the event phase and each component tick. The two extra
     // clock reads per tick distort absolute times slightly; the
-    // events-vs-subsystem *split* is what the hotpath bench reports.
+    // events-vs-subsystem *split* is what perfbench reports.
     auto t0 = std::chrono::steady_clock::now(); // lint:allow(nondeterminism)
     eventQueue.runDue(currentCycle);
     profile->eventsSec += secondsSince(t0);

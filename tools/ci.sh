@@ -5,18 +5,19 @@
 #      transition tables: coverage, vnet acyclicity, LCO hook tiling,
 #      reachability) and tools/lint_inpg.py --self-test (determinism
 #      lint, DESIGN.md invariants 10-18);
-#   2. ./run_benches.sh --quick    -- perf smokes: the kernel
-#      fast-forward A/B (non-zero exit if fast-forward changes
-#      simulated results) and the busy hot-path run (non-zero exit if
-#      the schedule path allocates, or if events/sec fall >5% below
-#      the committed BENCH_hotpath.json), refreshing BENCH_*.json;
+#   2. ledger gate and benchmark self-check -- ./run_benches.sh
+#      --quick re-runs the baseline mini-sweep and requires every
+#      committed metric of sweeps/BASELINE_ledger.jsonl to reproduce
+#      bit-exactly; python3 perfbench/selfcheck.py is the benchmark's
+#      own test (BENCHMARK.json shape, a tiny run of every workload);
 #   3. seeded-hang watchdog smoke -- inpg_sim with the test-only
 #      drop_dir_response knob must exit 86 (HANG_EXIT_CODE) and write
 #      a well-formed structured hang report;
 #   4. torus/fabric smoke -- a torus:8x8 iNPG run must be
 #      deterministic and bit-identical between the serial and parallel
 #      kernels, the no-escape-VC torus must be rejected by the
-#      channel-dependency verifier, and a cmesh run must complete;
+#      channel-dependency verifier (exit 2), and a cmesh run must
+#      complete;
 #   5. experiment-ledger report smoke -- identical tiny configs must
 #      diff clean under tools/inpg_report, an injected metric delta
 #      must be caught by diff and regress, and aggregate must render
@@ -27,7 +28,7 @@
 #      N=3 with it, plus the seeded-mutation --self-test; hard time
 #      budget via timeout(1);
 #   7. ./run_benches.sh --tsan then --sanitize -- the threaded suites
-#      (parallel kernel, sweep pool, trace sink) under
+#      (parallel kernel, sweep pool, determinism) under
 #      ThreadSanitizer in build-tsan/, then configure + build + full
 #      ctest under ASan/UBSan in build-asan/.
 # Flags:
@@ -150,8 +151,11 @@ run_torus_smoke() {
         >/dev/null 2>&1
     rc=$?
     set -e
-    if [ "$rc" = 0 ]; then
-        echo "FAIL: no-escape-VC torus was accepted (verifier hole)" >&2
+    # 2 is the tools' config-rejection code; anything else is either
+    # a verifier hole (0) or a crash.
+    if [ "$rc" != 2 ]; then
+        echo "FAIL: no-escape-VC torus exited $rc (expected the" \
+             "config rejection, 2)" >&2
         exit 1
     fi
     "$sim" benchmark=freq mechanism=inpg topology=cmesh:4x4x4 \
@@ -262,9 +266,11 @@ if [ "$want_tidy" = 1 ]; then
     run_tidy
 fi
 
-echo "=== ci.sh stage 2: perf smokes ==="
-cmake --build "$repo_root/build" -j "$(nproc)" --target bench_micro
+echo "=== ci.sh stage 2: ledger gate and benchmark self-check ==="
+cmake --build "$repo_root/build" -j "$(nproc)" \
+    --target inpg_sim --target inpg_report
 "$repo_root/run_benches.sh" --quick
+python3 "$repo_root/perfbench/selfcheck.py"
 
 echo "=== ci.sh stage 3: seeded-hang watchdog smoke ==="
 run_hang_smoke
@@ -280,7 +286,7 @@ run_model_check
 
 echo "=== ci.sh stage 7: sanitizer suites ==="
 # ThreadSanitizer over the threaded surfaces first (parallel kernel
-# bit-identity suite, sweep pool, trace sink), then the full ASan/
+# bit-identity suite, sweep pool, determinism), then the full ASan/
 # UBSan tree. Both configure their own build dirs.
 "$repo_root/run_benches.sh" --tsan
 "$repo_root/run_benches.sh" --sanitize
