@@ -10,6 +10,7 @@
 #ifndef INPG_NOC_LINK_HH
 #define INPG_NOC_LINK_HH
 
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -87,14 +88,40 @@ class DelayLine
  * entering the DelayLines, so a producer on one thread never touches
  * the consumer's state mid-quantum. The coordinator drains the box at
  * the quantum barrier by re-pushing with the original cycles, which
- * reproduces the serial delivery schedule exactly. The two vectors
- * have disjoint single writers (the flit sender and the credit
- * sender live in the two different domains that make the channel a
- * boundary), so the box needs no lock.
+ * reproduces the serial delivery schedule exactly.
+ *
+ * The two directions have disjoint single writers: flits are pushed
+ * by the credit sink's domain, credits by the flit sink's domain, and
+ * the two differ (that is what makes the channel a boundary). The
+ * first push of a quantum into an empty direction appends the box to
+ * that producer's dirty list, so the merge visits only boxes that
+ * carry traffic. Each dirty list also has one writer, so neither the
+ * box nor the lists need a lock or an atomic.
  */
 struct ChannelOutbox {
+    /** Boundary index; the merge drains boxes in this order. */
+    std::size_t index = 0;
     std::vector<std::pair<Cycle, FlitPtr>> flits;
     std::vector<std::pair<Cycle, Credit>> credits;
+    /** Dirty lists of the flit producer's and credit producer's domains. */
+    std::vector<ChannelOutbox *> *flitDirty = nullptr;
+    std::vector<ChannelOutbox *> *creditDirty = nullptr;
+
+    void
+    pushFlit(FlitPtr flit, Cycle now)
+    {
+        if (flits.empty())
+            flitDirty->push_back(this);
+        flits.emplace_back(now, std::move(flit));
+    }
+
+    void
+    pushCredit(Credit credit, Cycle now)
+    {
+        if (credits.empty())
+            creditDirty->push_back(this);
+        credits.emplace_back(now, credit);
+    }
 
     bool empty() const { return flits.empty() && credits.empty(); }
 };
@@ -140,7 +167,7 @@ class Channel
     pushFlit(FlitPtr flit, Cycle now)
     {
         if (outbox) {
-            outbox->flits.emplace_back(now, std::move(flit));
+            outbox->pushFlit(std::move(flit), now);
             return;
         }
         flits.push(std::move(flit), now);
@@ -153,7 +180,7 @@ class Channel
     pushCredit(Credit credit, Cycle now)
     {
         if (outbox) {
-            outbox->credits.emplace_back(now, credit);
+            outbox->pushCredit(credit, now);
             return;
         }
         credits.push(credit, now);

@@ -120,14 +120,12 @@ ParallelKernel::adopt(Router *comp, int domain)
     SleepToken &tok = comp->sleepToken();
     INPG_ASSERT(tok.bound(),
                 "stealing a component that never registered");
-    std::size_t slot = sim.slots.size();
-    for (std::size_t i = 0; i < sim.slots.size(); ++i) {
-        if (sim.slots[i].component == comp) {
-            slot = i;
-            break;
-        }
-    }
-    INPG_ASSERT(slot < sim.slots.size(),
+    // The token is still bound to its serial slot's bit.
+    const std::size_t slot =
+        static_cast<std::size_t>(tok.word - sim.activeBits.data()) * 64 +
+        static_cast<std::size_t>(std::countr_zero(tok.bit));
+    INPG_ASSERT(slot < sim.slots.size() &&
+                    sim.slots[slot].component == comp,
                 "stolen component not registered with this simulator");
     const bool wasActive = (*tok.word & tok.bit) != 0;
     tok.suspend(); // drop out of the serial sweep
@@ -188,13 +186,32 @@ ParallelKernel::classifyBoundaries(Network &network,
             domainOf(ch->creditSinkComponent()))
             ++n;
     boundaries.reserve(n); // outbox addresses must stay stable
+    auto dirtyListOf = [&](int domain) {
+        return domain == 0
+                   ? &coordDirty
+                   : &domains[static_cast<std::size_t>(domain - 1)].dirty;
+    };
     for (const auto &ch : channels) {
-        if (domainOf(ch->flitSinkComponent()) ==
-            domainOf(ch->creditSinkComponent()))
+        const int flitSinkDom = domainOf(ch->flitSinkComponent());
+        const int creditSinkDom = domainOf(ch->creditSinkComponent());
+        if (flitSinkDom == creditSinkDom)
             continue;
+        INPG_ASSERT(ch->flitSinkComponent() && ch->creditSinkComponent(),
+                    "boundary channel without both sinks");
         boundaries.push_back(Boundary{ch.get(), ChannelOutbox{}});
-        ch->setOutbox(&boundaries.back().box);
+        ChannelOutbox &box = boundaries.back().box;
+        box.index = boundaries.size() - 1;
+        // Each direction's producer is the other direction's sink.
+        box.flitDirty = dirtyListOf(creditSinkDom);
+        box.creditDirty = dirtyListOf(flitSinkDom);
+        ch->setOutbox(&box);
     }
+    // Sized once so a quantum never grows a list: the coordinator's
+    // list also receives every worker's entries at the merge, and a
+    // box dirty in both directions appears twice.
+    coordDirty.reserve(2 * boundaries.size());
+    for (Domain &d : domains)
+        d.dirty.reserve(boundaries.size());
 }
 
 std::size_t
@@ -308,29 +325,43 @@ ParallelKernel::step(Cycle quantum)
 void
 ParallelKernel::drainOutboxes()
 {
-    // Deterministic merge: fixed channel order, FIFO within each
+    // Deterministic merge: only the outboxes some thread pushed into
+    // this quantum, sorted into fixed channel order, FIFO within each
     // channel (single producer per direction), and every re-push
     // carries its original cycle so DelayLine delivery cycles -- and
     // the sink wakes -- are exactly the serial ones.
+    std::vector<ChannelOutbox *> &dirty = coordDirty;
+    for (Domain &d : domains) {
+        dirty.insert(dirty.end(), d.dirty.begin(), d.dirty.end());
+        d.dirty.clear();
+    }
+    if (dirty.empty())
+        return;
+    std::sort(dirty.begin(), dirty.end(),
+              [](const ChannelOutbox *a, const ChannelOutbox *b) {
+                  return a->index < b->index;
+              });
     std::uint64_t flits = 0;
     std::uint64_t credits = 0;
-    for (Boundary &b : boundaries) {
-        if (b.box.empty())
+    for (ChannelOutbox *box : dirty) {
+        // A box dirty in both directions is listed twice; the first
+        // visit drains it.
+        if (box->empty())
             continue;
-        Channel *ch = b.channel;
+        Channel *ch = boundaries[box->index].channel;
         ch->setOutbox(nullptr);
-        flits += b.box.flits.size();
-        credits += b.box.credits.size();
-        for (auto &e : b.box.flits)
+        flits += box->flits.size();
+        credits += box->credits.size();
+        for (auto &e : box->flits)
             ch->pushFlit(std::move(e.second), e.first);
-        for (auto &e : b.box.credits)
+        for (auto &e : box->credits)
             ch->pushCredit(e.second, e.first);
-        b.box.flits.clear();
-        b.box.credits.clear();
-        ch->setOutbox(&b.box);
+        box->flits.clear();
+        box->credits.clear();
+        ch->setOutbox(box);
     }
-    if (flits || credits)
-        prof->drained(flits, credits);
+    dirty.clear();
+    prof->drained(flits, credits);
 }
 
 void

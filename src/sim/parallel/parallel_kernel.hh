@@ -15,11 +15,12 @@
  *
  * Each quantum the coordinator releases the workers, sweeps its own
  * active set (events + domain-0 components) for the same cycles,
- * waits for all workers to arrive, then merges: boundary-channel
- * outboxes are drained in deterministic channel order (each re-push
- * carries the original push cycle, so delivery cycles are exactly the
- * serial ones), and deferred packet-telemetry ops are replayed into
- * the tracker. The quantum length is bounded by the conservative
+ * waits for all workers to arrive, then merges: the boundary-channel
+ * outboxes that saw a push this quantum (each thread's dirty list)
+ * are drained in deterministic channel order (each re-push carries
+ * the original push cycle, so delivery cycles are exactly the serial
+ * ones), and deferred packet-telemetry ops are replayed into the
+ * tracker. The quantum length is bounded by the conservative
  * lookahead min(linkLatency + 1, creditLatency): no cross-domain item
  * pushed inside a quantum can become deliverable before the quantum
  * ends, so the merge is never late. Diagnosis observers (timeseries
@@ -127,6 +128,8 @@ class ParallelKernel
         std::size_t activeCount = 0;
         /** Deferred packet-telemetry ops, replayed at the merge. */
         std::vector<PacketTelOp> telLog;
+        /** Outboxes this domain pushed into during the quantum. */
+        std::vector<ChannelOutbox *> dirty;
         QuantumGate done;
     };
 
@@ -161,6 +164,8 @@ class ParallelKernel
     // therefore immovable; deque grows without relocating elements.
     std::deque<Domain> domains;
     std::vector<Boundary> boundaries;
+    /** The coordinator's dirty outboxes; the merge appends the rest. */
+    std::vector<ChannelOutbox *> coordDirty;
     std::vector<StolenSlot> stolen;
     std::vector<std::thread> workers;
 

@@ -6,19 +6,28 @@
  * full stats-JSON snapshots, and seeded-hang reports all byte-equal
  * -- and hand the simulator back to serial stepping unchanged after
  * shutdown(). Also covers the lookahead quantum with creditLatency
- * >= 2, the mesh=WxH preset, and the sweep thread-budget arbiter.
+ * >= 2, the mesh=WxH preset, the sweep thread-budget arbiter, the
+ * quantum gate's spin/park handoffs, and goldens for the self-profile's
+ * deterministic counters (tests/golden/parallel_profile_*.txt), which
+ * pin how many quanta, barriers and merged flits and credits a run
+ * takes.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "common/config.hh"
+#include "golden.hh"
 #include "harness/sweep_runner.hh"
 #include "harness/system.hh"
 #include "noc/network.hh"
 #include "sim/parallel/parallel_kernel.hh"
+#include "sim/parallel/spin_barrier.hh"
 #include "telemetry/watchdog.hh"
 #include "workload/benchmark_profile.hh"
 #include "workload/workload.hh"
@@ -216,6 +225,147 @@ TEST(ParallelKernel, SelfProfileSurfacesInSnapshot)
     System serial(scfg);
     serial.sim().run(10);
     EXPECT_EQ(serial.statsSnapshot().find("parallel_profile"), nullptr);
+}
+
+/**
+ * The self-profile's deterministic half -- everything but "host" --
+ * for one run: SystemConfig overrides (space-separated key=value, as
+ * on the inpg_sim command line) plus the workload.
+ */
+std::string
+profileGoldenText(const std::string &overrides, const char *bench,
+                  double cs_scale)
+{
+    std::string lines = overrides;
+    for (char &c : lines)
+        if (c == ' ')
+            c = '\n';
+    Config args;
+    args.loadString(lines);
+    SystemConfig cfg;
+    cfg.applyOverrides(args);
+    System system(cfg);
+    EXPECT_NE(system.parallelKernel(), nullptr);
+
+    Workload::Params wp;
+    wp.profile = benchmarkByName(bench);
+    wp.threads = cfg.numCores();
+    wp.csScale = cs_scale;
+    wp.lockKind = cfg.lockKind;
+    wp.seed = cfg.seed;
+    Workload w(wp, system.coherent(), system.locks(), system.sim());
+    w.start();
+    // Far above either run's length: a merge that loses traffic
+    // stalls the fabric and fails here instead of spinning for the
+    // default budget.
+    system.runUntil([&] { return w.done(); }, 1000000);
+
+    const JsonValue doc = system.parallelKernel()->profile().toJson();
+    JsonValue counters = JsonValue::object();
+    for (const auto &[key, value] : doc.members())
+        if (key != "host")
+            counters[key] = value;
+    return "config " + overrides + " benchmark=" + bench +
+           " cs_scale=" + std::to_string(cs_scale) + "\n" +
+           counters.dump(2) + "\n";
+}
+
+TEST(ParallelKernel, ProfileCountersMatchGoldenMesh8x8Inpg)
+{
+    expectMatchesGolden(
+        "parallel_profile_mesh8x8_inpg_t4.txt",
+        profileGoldenText("topology=mesh:8x8 mechanism=inpg lock=tas "
+                          "threads=4",
+                          "freq", 0.02));
+}
+
+TEST(ParallelKernel, ProfileCountersMatchGoldenTorus4x4)
+{
+    // Wrap links put worker domains at both ends of a boundary.
+    expectMatchesGolden(
+        "parallel_profile_torus4x4_tas_t4.txt",
+        profileGoldenText("topology=torus:4x4 lock=tas threads=4",
+                          "ferret", 0.01));
+}
+
+TEST(ParallelKernel, GateSpinCatchesHandoff)
+{
+    // The waiter is spinning (it announced itself) when the epoch is
+    // published; the spin budget is tens of microseconds and the
+    // yield hands a shared core to the publisher, so the spin catches
+    // most handoffs. One caught handoff is enough to show the path.
+    constexpr int TRIALS = 200;
+    QuantumGate gate;
+    std::atomic<std::uint64_t> spinning{0};
+    int payload = 0;
+    int caught = 0;
+    std::thread waiter([&] {
+        for (std::uint64_t e = 1; e <= TRIALS; ++e) {
+            spinning.store(e, std::memory_order_release);
+            if (!gate.await(e))
+                ++caught;
+            EXPECT_EQ(payload, static_cast<int>(e));
+        }
+    });
+    for (std::uint64_t e = 1; e <= TRIALS; ++e) {
+        while (spinning.load(std::memory_order_acquire) < e)
+            std::this_thread::yield();
+        payload = static_cast<int>(e);
+        gate.release(e);
+    }
+    waiter.join();
+    EXPECT_GT(caught, 0);
+}
+
+TEST(ParallelKernel, GateWaiterOutlastingBudgetParksAndWakes)
+{
+    QuantumGate gate;
+    std::atomic<bool> started{false};
+    int payload = 0;
+    bool parked = false;
+    std::thread waiter([&] {
+        started.store(true, std::memory_order_release);
+        parked = gate.await(1);
+        EXPECT_EQ(payload, 42);
+    });
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    // Far beyond SPIN_ROUNDS rounds of pause-and-yield.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    payload = 42;
+    gate.release(1);
+    waiter.join();
+    EXPECT_TRUE(parked);
+}
+
+TEST(ParallelKernel, GatePingPongLosesNoWakeup)
+{
+    // Two threads alternate through two gates, like the coordinator's
+    // go gate and a worker's arrival gate. Every 1024th epoch one side
+    // dawdles past the spin budget, so both the spin and the park
+    // paths are crossed many times; a lost wakeup hangs the test.
+    constexpr std::uint64_t EPOCHS = 20000;
+    QuantumGate ping, pong;
+    std::uint64_t token = 0; // handed back and forth by the gates
+    std::thread partner([&] {
+        for (std::uint64_t e = 1; e <= EPOCHS; ++e) {
+            ping.await(e);
+            EXPECT_EQ(token, 2 * e - 1);
+            ++token;
+            if (e % 1024 == 512)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            pong.release(e);
+        }
+    });
+    for (std::uint64_t e = 1; e <= EPOCHS; ++e) {
+        ++token;
+        if (e % 1024 == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ping.release(e);
+        pong.await(e);
+        EXPECT_EQ(token, 2 * e);
+    }
+    partner.join();
 }
 
 /**
