@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared plumbing for the per-figure bench binaries: option parsing,
- * seed-averaged runs, and common formatting.
+ * Shared plumbing for the figure bench binaries: option parsing and
+ * common formatting.
  *
  * Every bench accepts "key=value" arguments:
  *   cs_scale=<f>   fraction of the paper's per-thread CS count simulated
  *   seeds=<n>      runs averaged per data point (default 1)
- *   quick=1        reduced benchmark set for smoke runs
+ *   quick=1        reduced sweep for smoke runs
  *   mesh_width / mesh_height / big_routers / ... (see SystemConfig)
  */
 
@@ -51,85 +51,7 @@ struct BenchOptions {
         sc.applyOverrides(overrides);
         return sc;
     }
-
-    /** Benchmarks to sweep (subset under quick=1). */
-    std::vector<BenchmarkProfile>
-    benchmarks() const
-    {
-        if (!quick)
-            return allBenchmarks();
-        return {benchmarkByName("md"), benchmarkByName("freq"),
-                benchmarkByName("kdtree")};
-    }
 };
-
-/** Averages of the metrics the figures report. */
-struct AveragedResult {
-    double roiCycles = 0;
-    double csTotalCycles = 0;
-    double cohCycles = 0;
-    double cseCycles = 0;
-    double sleepCycles = 0;
-    double parallelCycles = 0;
-    double lockCohCycles = 0;
-    double rttMean = 0;
-    double rttMax = 0;
-    double earlyInvs = 0;
-    double sleeps = 0;
-    double csCompleted = 0;
-};
-
-/** Run one (profile, mechanism) point, averaged over opts.seeds. */
-inline AveragedResult
-runPoint(const BenchmarkProfile &profile, SystemConfig sys,
-         Mechanism mech, const BenchOptions &opts,
-         NodeId lock_home = INVALID_NODE)
-{
-    AveragedResult avg;
-    for (int s = 0; s < opts.seeds; ++s) {
-        RunConfig rc;
-        rc.profile = profile;
-        rc.system = sys;
-        rc.system.mechanism = mech;
-        rc.system.seed = static_cast<std::uint64_t>(s) + 1;
-        rc.csScale = opts.csScale;
-        rc.lockHome = lock_home;
-        RunResult r = runBenchmark(rc);
-        avg.roiCycles += static_cast<double>(r.roiCycles);
-        avg.csTotalCycles += static_cast<double>(r.csTotalCycles());
-        avg.cohCycles += static_cast<double>(r.cohCycles);
-        avg.cseCycles += static_cast<double>(r.cseCycles);
-        avg.sleepCycles += static_cast<double>(r.sleepCycles);
-        avg.parallelCycles += static_cast<double>(r.parallelCycles);
-        avg.lockCohCycles += static_cast<double>(r.lockCohCycles);
-        avg.rttMean += r.rttMean;
-        avg.rttMax += static_cast<double>(r.rttMax);
-        avg.earlyInvs += static_cast<double>(r.earlyInvs);
-        avg.sleeps += static_cast<double>(r.sleeps);
-        avg.csCompleted += static_cast<double>(r.csCompleted);
-    }
-    const double n = static_cast<double>(opts.seeds);
-    avg.roiCycles /= n;
-    avg.csTotalCycles /= n;
-    avg.cohCycles /= n;
-    avg.cseCycles /= n;
-    avg.sleepCycles /= n;
-    avg.parallelCycles /= n;
-    avg.lockCohCycles /= n;
-    avg.rttMean /= n;
-    avg.rttMax /= n;
-    avg.earlyInvs /= n;
-    avg.sleeps /= n;
-    avg.csCompleted /= n;
-    return avg;
-}
-
-/** Geometric-ish pretty ratio "1.35x". */
-inline std::string
-ratio(double base, double value, int decimals = 2)
-{
-    return fixed(value > 0 ? base / value : 0, decimals) + "x";
-}
 
 /** Percentage "87.7%". */
 inline std::string

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Regenerate every paper table/figure (see README).
+# Regenerate every paper table/figure (see README): bench_figures plus
+# the Fig. 7/9/10 and Table 1 binaries.
 # --quick:    only the experiment-ledger regression gate: a fresh
 #             mini-sweep is written to build/BENCH_ledger.jsonl and
 #             checked bit-exactly with `inpg_report regress` against
@@ -8,8 +9,9 @@
 #             simulated behavior changes intentionally). Simulator
 #             speed is measured by perfbench/ (python3 perfbench/run.py).
 # --ledger-out=PATH (any position): experiment ledger to append runs
-#             to; default sweeps/ledger.jsonl. Exported to benches as
-#             INPG_LEDGER_PATH.
+#             to; default sweeps/ledger.jsonl. Exported as
+#             INPG_LEDGER_PATH, which bench_figures (every run-based
+#             figure) appends one RunRecord per run to.
 # --sanitize: configure + build + ctest under ASan/UBSan in
 #             build-asan/ (exercises the raw-storage containers and
 #             callback small-buffer code under the sanitizers).

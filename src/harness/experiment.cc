@@ -164,14 +164,18 @@ makeRunRecord(const RunConfig &cfg, const RunResult &r)
     spec.height = sys.noc.meshHeight;
     spec.concentration = sys.noc.concentration;
     rec.topology = spec.canonical();
-    // One implementation remains; the field stays for ledger schema
-    // compatibility.
-    rec.impl = "fast";
     rec.cores = sys.numCores();
     rec.bigRouters = sys.inpg.numBigRouters;
     rec.threads = sys.threads;
     rec.seed = sys.seed;
     rec.csScale = cfg.csScale;
+    rec.barrierEntries = sys.inpg.barrierEntries;
+    rec.eiEntries = sys.inpg.eiEntries;
+    rec.barrierTtl = sys.inpg.barrierTtl;
+    rec.spinInterval = sys.sync.spinInterval;
+    rec.contextSwitchCost = sys.sync.contextSwitchCost;
+    rec.wakeupCost = sys.sync.wakeupCost;
+    rec.numLocks = cfg.profile.numLocks;
 
     rec.roiCycles = r.roiCycles;
     rec.csCompleted = r.csCompleted;

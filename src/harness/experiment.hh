@@ -43,9 +43,6 @@ struct RunResult {
      */
     Cycle lockCohCycles = 0;
 
-    /** Competition overhead spent on-core (excludes the sleep phase). */
-    Cycle lcoCycles() const { return cohCycles - sleepCycles; }
-
     /** Total CS time (paper Fig. 11's unit): COH + CSE. */
     Cycle csTotalCycles() const { return cohCycles + cseCycles; }
 

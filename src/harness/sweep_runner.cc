@@ -1,6 +1,5 @@
 #include "harness/sweep_runner.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -58,26 +57,7 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
     // Kernel threads each run actually got (after the budget clamp
     // below), recorded into its ledger entry.
     std::vector<int> runThreads(configs.size(), 1);
-    auto appendLedger = [&] {
-        if (!opts.ledger)
-            return;
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            RunRecord rec = makeRunRecord(configs[i], results[i]);
-            rec.threads = runThreads[i];
-            opts.ledger->append(rec);
-        }
-    };
-
     const int nthreads = sweepThreadCount(configs.size(), opts.threads);
-    if (nthreads == 1) {
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            results[i] = runBenchmark(configs[i]);
-            runThreads[i] = std::max(configs[i].system.threads, 1);
-        }
-        appendLedger();
-        return results;
-    }
-
     std::atomic<std::size_t> next{0};
     const unsigned hw = std::thread::hardware_concurrency();
     auto worker = [&] {
@@ -101,13 +81,23 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
         }
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
-    appendLedger();
+    if (nthreads == 1) {
+        worker(); // inline: no pool for a single worker
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(static_cast<std::size_t>(nthreads));
+        for (int t = 0; t < nthreads; ++t)
+            pool.emplace_back(worker);
+        for (auto &th : pool)
+            th.join();
+    }
+    if (opts.ledger) {
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            RunRecord rec = makeRunRecord(configs[i], results[i]);
+            rec.threads = runThreads[i];
+            opts.ledger->append(rec);
+        }
+    }
     return results;
 }
 

@@ -1,7 +1,6 @@
 #include "harness/table_printer.hh"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 #include "common/strutil.hh"
@@ -30,16 +29,6 @@ TablePrinter::row(std::vector<std::string> cells)
     columns = std::max(columns, cells.size());
     rows.push_back(std::move(cells));
     isSeparator.push_back(false);
-}
-
-void
-TablePrinter::rowNumeric(const std::string &label,
-                         const std::vector<double> &values, int decimals)
-{
-    std::vector<std::string> cells{label};
-    for (double v : values)
-        cells.push_back(fixed(v, decimals));
-    row(std::move(cells));
 }
 
 void
@@ -110,12 +99,6 @@ TablePrinter::renderCsv() const
         os << "\n";
     }
     return os.str();
-}
-
-void
-TablePrinter::print(std::ostream &os) const
-{
-    os << render();
 }
 
 } // namespace inpg

@@ -7,7 +7,6 @@
 #ifndef INPG_HARNESS_TABLE_PRINTER_HH
 #define INPG_HARNESS_TABLE_PRINTER_HH
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -25,10 +24,6 @@ class TablePrinter
     /** Append one row (padded/truncated to the column count). */
     void row(std::vector<std::string> cells);
 
-    /** Convenience: first cell is a label, the rest are numbers. */
-    void rowNumeric(const std::string &label,
-                    const std::vector<double> &values, int decimals);
-
     /** Insert a horizontal separator. */
     void separator();
 
@@ -37,9 +32,6 @@ class TablePrinter
 
     /** Render as CSV (header + data rows; separators skipped). */
     std::string renderCsv() const;
-
-    /** Render to a stream. */
-    void print(std::ostream &os) const;
 
   private:
     std::string title;

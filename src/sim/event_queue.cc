@@ -213,9 +213,6 @@ EventQueue::debugJson() const
     out["executed_total"] = statExecuted;
     out["overflow_scheduled"] = statOverflow;
     out["schedule_heap_allocs"] = statHeapAllocs;
-    // The timing wheel is the only scheduler; the key stays so hang
-    // reports keep their schema.
-    out["mode"] = "timing-wheel";
     return out;
 }
 

@@ -90,26 +90,6 @@ withinThreshold(double a, double b, bool is_double, double tolerance)
     return diff <= tol * scale;
 }
 
-/** First-occurrence index of each config key. */
-std::vector<std::pair<std::string, const RunRecord *>>
-keyedRecords(const std::vector<RunRecord> &records)
-{
-    std::vector<std::pair<std::string, const RunRecord *>> out;
-    out.reserve(records.size());
-    for (const RunRecord &r : records) {
-        const std::string key = r.configKey();
-        bool seen = false;
-        for (const auto &kv : out)
-            if (kv.first == key) {
-                seen = true;
-                break;
-            }
-        if (!seen)
-            out.emplace_back(key, &r);
-    }
-    return out;
-}
-
 const RunRecord *
 findKey(const std::vector<std::pair<std::string, const RunRecord *>> &s,
         const std::string &key)
@@ -118,6 +98,20 @@ findKey(const std::vector<std::pair<std::string, const RunRecord *>> &s,
         if (kv.first == key)
             return kv.second;
     return nullptr;
+}
+
+/** First-occurrence index of each config key. */
+std::vector<std::pair<std::string, const RunRecord *>>
+keyedRecords(const std::vector<RunRecord> &records)
+{
+    std::vector<std::pair<std::string, const RunRecord *>> out;
+    out.reserve(records.size());
+    for (const RunRecord &r : records) {
+        std::string key = r.configKey();
+        if (!findKey(out, key))
+            out.emplace_back(std::move(key), &r);
+    }
+    return out;
 }
 
 std::string
@@ -144,21 +138,6 @@ constexpr const char *LOCK_ORDER[] = {"TAS", "TTL", "ABQL", "MCS",
 /** Paper-order mechanism columns for the speedup table. */
 constexpr const char *MECH_ORDER[] = {"Original", "OCOR", "iNPG",
                                       "iNPG+OCOR"};
-
-/** Seed-averaged accumulator. */
-struct Avg {
-    double sum = 0;
-    std::uint64_t n = 0;
-
-    void
-    add(double v)
-    {
-        sum += v;
-        ++n;
-    }
-
-    double value() const { return n ? sum / static_cast<double>(n) : 0; }
-};
 
 template <typename T>
 void
@@ -249,6 +228,16 @@ DiffResult::render(const ReportOptions &opts) const
     return out;
 }
 
+double
+lcoShare(const std::vector<const RunRecord *> &runs)
+{
+    const double roi = seedMean(runs, &RunRecord::roiCycles);
+    if (roi <= 0)
+        return 0;
+    return seedMean(runs, &RunRecord::lockCohCycles) /
+           (roi * static_cast<double>(runs.front()->cores));
+}
+
 std::string
 aggregateReport(const std::vector<RunRecord> &records)
 {
@@ -267,11 +256,10 @@ aggregateReport(const std::vector<RunRecord> &records)
     out += "\n";
 
     // -- Fig-2 LCO share table ----------------------------------------
-    // Exactly bench_fig02_lco's formula and rounding: lco% =
-    // lock_coh_cycles / (roi_cycles x cores), seed-averaged, one
-    // decimal. Rows are (benchmark, mechanism) in first-appearance
-    // order; columns the canonical lock order, filtered to locks
-    // actually present.
+    // bench_figures' Fig. 2 formula and rounding: lcoShare() over the
+    // cell's records (the ratio of seed means), one decimal. Rows are
+    // (benchmark, mechanism) in first-appearance order; columns the
+    // canonical lock order, filtered to locks actually present.
     std::vector<std::string> locks;
     for (const char *l : LOCK_ORDER)
         for (const RunRecord &r : records)
@@ -284,8 +272,8 @@ aggregateReport(const std::vector<RunRecord> &records)
         addUnique(lcoRows, std::make_pair(r.benchmark, r.mechanism));
     if (!locks.empty() && !lcoRows.empty()) {
         out += "\n## LCO share of running time (Fig. 2)\n\n";
-        out += "lco% = lock_coh_cycles / (roi_cycles x cores), "
-               "seed-averaged.\n\n";
+        out += "lco% = mean lock_coh_cycles / (mean roi_cycles x "
+               "cores), means over seeds.\n\n";
         std::vector<std::string> header{"benchmark", "mechanism"};
         header.insert(header.end(), locks.begin(), locks.end());
         out += markdownRow(header);
@@ -294,19 +282,17 @@ aggregateReport(const std::vector<RunRecord> &records)
             std::vector<std::string> cells{row.first, row.second};
             bool any = false;
             for (const std::string &lk : locks) {
-                Avg avg;
-                for (const RunRecord &r : records) {
-                    if (r.benchmark != row.first ||
-                        r.mechanism != row.second || r.lock != lk ||
-                        r.roiCycles == 0 || r.cores == 0)
-                        continue;
-                    avg.add(static_cast<double>(r.lockCohCycles) /
-                            (static_cast<double>(r.roiCycles) *
-                             static_cast<double>(r.cores)));
-                }
-                cells.push_back(
-                    avg.n ? fixed(100.0 * avg.value(), 1) + "%" : "-");
-                any = any || avg.n;
+                std::vector<const RunRecord *> runs;
+                for (const RunRecord &r : records)
+                    if (r.benchmark == row.first &&
+                        r.mechanism == row.second && r.lock == lk &&
+                        r.roiCycles != 0 && r.cores != 0)
+                        runs.push_back(&r);
+                cells.push_back(runs.empty()
+                                    ? "-"
+                                    : fixed(100.0 * lcoShare(runs), 1) +
+                                          "%");
+                any = any || !runs.empty();
             }
             if (any)
                 out += markdownRow(cells);
@@ -354,21 +340,14 @@ aggregateReport(const std::vector<RunRecord> &records)
     // speedup = roi(Original) / roi(mechanism), seed-averaged ROIs.
     struct ScaleRow {
         std::string benchmark, lock, topology;
-        int cores = 0;
+        int cores = 0; ///< follows from the topology
+
+        bool operator==(const ScaleRow &) const = default;
     };
     std::vector<ScaleRow> scaleRows;
-    for (const RunRecord &r : records) {
-        bool seen = false;
-        for (const ScaleRow &s : scaleRows)
-            if (s.benchmark == r.benchmark && s.lock == r.lock &&
-                s.topology == r.topology) {
-                seen = true;
-                break;
-            }
-        if (!seen)
-            scaleRows.push_back(
-                ScaleRow{r.benchmark, r.lock, r.topology, r.cores});
-    }
+    for (const RunRecord &r : records)
+        addUnique(scaleRows,
+                  ScaleRow{r.benchmark, r.lock, r.topology, r.cores});
     std::stable_sort(scaleRows.begin(), scaleRows.end(),
                      [](const ScaleRow &a, const ScaleRow &b) {
                          return a.cores < b.cores;
@@ -395,32 +374,32 @@ aggregateReport(const std::vector<RunRecord> &records)
         out += markdownRow(header);
         out += markdownRule(header.size());
         for (const ScaleRow &s : scaleRows) {
-            auto avgRoi = [&](const std::string &mech) {
-                Avg avg;
+            auto runsOf = [&](const std::string &mech) {
+                std::vector<const RunRecord *> runs;
                 for (const RunRecord &r : records)
                     if (r.benchmark == s.benchmark &&
                         r.lock == s.lock && r.topology == s.topology &&
                         r.mechanism == mech)
-                        avg.add(static_cast<double>(r.roiCycles));
-                return avg;
+                        runs.push_back(&r);
+                return runs;
             };
-            const Avg orig = avgRoi("Original");
-            if (!orig.n)
+            const auto orig = runsOf("Original");
+            if (orig.empty())
                 continue;
+            const double origRoi = seedMean(orig, &RunRecord::roiCycles);
             std::vector<std::string> cells{
                 s.benchmark, s.lock, s.topology,
                 format("%d", s.cores),
-                formatMetric(std::floor(orig.value()))};
+                formatMetric(std::floor(origRoi))};
             bool any = false;
             for (const std::string &m : mechs) {
                 if (m == "Original")
                     continue;
-                const Avg v = avgRoi(m);
-                cells.push_back(
-                    v.n && v.value() > 0
-                        ? fixed(orig.value() / v.value(), 2) + "x"
-                        : "-");
-                any = any || v.n;
+                const auto runs = runsOf(m);
+                const double roi = seedMean(runs, &RunRecord::roiCycles);
+                cells.push_back(roi > 0 ? fixed(origRoi / roi, 2) + "x"
+                                        : "-");
+                any = any || !runs.empty();
             }
             if (any)
                 out += markdownRow(cells);

@@ -36,10 +36,16 @@ runRecordCompiler()
 std::string
 RunRecord::configKey() const
 {
-    return format("%s|%s|%s|%s|br%d|seed%llu|cs%.17g",
+    using ull = unsigned long long;
+    return format("%s|%s|%s|%s|br%d|seed%llu|cs%.17g|be%llu|ei%llu|"
+                  "ttl%llu|spin%llu|ctx%llu|wake%llu|locks%d",
                   benchmark.c_str(), mechanism.c_str(), lock.c_str(),
-                  topology.c_str(), bigRouters,
-                  static_cast<unsigned long long>(seed), csScale);
+                  topology.c_str(), bigRouters, static_cast<ull>(seed),
+                  csScale, static_cast<ull>(barrierEntries),
+                  static_cast<ull>(eiEntries), static_cast<ull>(barrierTtl),
+                  static_cast<ull>(spinInterval),
+                  static_cast<ull>(contextSwitchCost),
+                  static_cast<ull>(wakeupCost), numLocks);
 }
 
 JsonValue
@@ -60,12 +66,18 @@ RunRecord::toJson() const
     cfg["mechanism"] = mechanism;
     cfg["lock"] = lock;
     cfg["topology"] = topology;
-    cfg["impl"] = impl;
     cfg["cores"] = cores;
     cfg["big_routers"] = bigRouters;
     cfg["threads"] = threads;
     cfg["seed"] = seed;
     cfg["cs_scale"] = csScale;
+    cfg["barrier_entries"] = barrierEntries;
+    cfg["ei_entries"] = eiEntries;
+    cfg["barrier_ttl"] = barrierTtl;
+    cfg["spin_interval"] = spinInterval;
+    cfg["context_switch_cost"] = contextSwitchCost;
+    cfg["wakeup_cost"] = wakeupCost;
+    cfg["num_locks"] = numLocks;
     doc["config"] = std::move(cfg);
 
     JsonValue met = JsonValue::object();
@@ -121,12 +133,18 @@ RunRecord::fromJson(const JsonValue &doc, std::string *err)
     rec.mechanism = cfg.at("mechanism").asString();
     rec.lock = cfg.at("lock").asString();
     rec.topology = cfg.at("topology").asString();
-    rec.impl = cfg.at("impl").asString();
     rec.cores = static_cast<int>(cfg.at("cores").asInt());
     rec.bigRouters = static_cast<int>(cfg.at("big_routers").asInt());
     rec.threads = static_cast<int>(cfg.at("threads").asInt(1));
     rec.seed = cfg.at("seed").asUint(1);
     rec.csScale = cfg.at("cs_scale").asDouble();
+    rec.barrierEntries = cfg.at("barrier_entries").asUint();
+    rec.eiEntries = cfg.at("ei_entries").asUint();
+    rec.barrierTtl = cfg.at("barrier_ttl").asUint();
+    rec.spinInterval = cfg.at("spin_interval").asUint();
+    rec.contextSwitchCost = cfg.at("context_switch_cost").asUint();
+    rec.wakeupCost = cfg.at("wakeup_cost").asUint();
+    rec.numLocks = static_cast<int>(cfg.at("num_locks").asInt());
 
     const JsonValue &met = doc.at("metrics");
     rec.roiCycles = met.at("roi_cycles").asUint();

@@ -2,8 +2,8 @@
  * @file
  * RunRecord: the versioned, machine-readable record of one benchmark
  * run -- full provenance (commit, compiler, topology, mechanism, lock,
- * threads, seed, implementation flavor) plus the scalar metrics every
- * figure is computed from, the LCO leg breakdown, the timeseries
+ * threads, seed, the knobs the figures sweep) plus the scalar metrics
+ * every figure is computed from, the LCO leg breakdown, the timeseries
  * summary, and the complete stats snapshot.
  *
  * Records are appended to an **experiment ledger**: a JSONL file, one
@@ -32,7 +32,7 @@
 namespace inpg {
 
 /** Ledger / RunRecord schema version (bump on incompatible change). */
-inline constexpr int RUN_RECORD_SCHEMA_VERSION = 1;
+inline constexpr int RUN_RECORD_SCHEMA_VERSION = 2;
 
 /** Version stamped into `--stats-json` documents. */
 inline constexpr int STATS_JSON_SCHEMA_VERSION = 1;
@@ -64,12 +64,19 @@ struct RunRecord {
     std::string mechanism; ///< mechanismName() spelling
     std::string lock;      ///< lockKindName() spelling
     std::string topology;  ///< TopologySpec::canonical() ("mesh:8x8")
-    std::string impl;      ///< "fast" / "reference"
     int cores = 0;
     int bigRouters = 0;
     int threads = 1; ///< host kernel threads (bit-identical results)
     std::uint64_t seed = 1;
     double csScale = 0;
+    // The knobs the paper figures and ablations sweep.
+    std::uint64_t barrierEntries = 0;    ///< inpg.barrierEntries
+    std::uint64_t eiEntries = 0;         ///< inpg.eiEntries
+    std::uint64_t barrierTtl = 0;        ///< inpg.barrierTtl
+    std::uint64_t spinInterval = 0;      ///< sync.spinInterval
+    std::uint64_t contextSwitchCost = 0; ///< sync.contextSwitchCost
+    std::uint64_t wakeupCost = 0;        ///< sync.wakeupCost
+    int numLocks = 0;                    ///< BenchmarkProfile::numLocks
 
     // -- metrics (all deterministic for a given configuration) ---------
     std::uint64_t roiCycles = 0;
@@ -93,10 +100,10 @@ struct RunRecord {
 
     /**
      * Simulated-configuration identity used to pair records across
-     * ledgers: benchmark, mechanism, lock, topology, big routers, seed
-     * and cs_scale. `threads` and `impl` are deliberately excluded --
-     * both are documented bit-identical in simulated results, so a
-     * threads=4 run diffs cleanly against its threads=1 twin.
+     * ledgers: every configuration field except `threads` and
+     * `cores` (derived from the topology). `threads` is deliberately
+     * excluded -- it is documented bit-identical in simulated results,
+     * so a threads=4 run diffs cleanly against its threads=1 twin.
      */
     std::string configKey() const;
 

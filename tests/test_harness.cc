@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strutil.hh"
 #include "harness/experiment.hh"
 #include "harness/table_printer.hh"
 #include "inpg/synthesis_model.hh"
@@ -94,7 +95,7 @@ TEST(TablePrinter, AlignsAndPadsShortRows)
 {
     TablePrinter t("ttl");
     t.header({"col1", "col2", "col3"});
-    t.rowNumeric("pi", {3.14159, 2.5}, 2);
+    t.row({"pi", fixed(3.14159, 2), fixed(2.5, 2)});
     std::string out = t.render();
     EXPECT_NE(out.find("3.14"), std::string::npos);
     EXPECT_NE(out.find("== ttl =="), std::string::npos);

@@ -36,12 +36,18 @@ makeRecord(const std::string &mech, const std::string &lock,
     rec.mechanism = mech;
     rec.lock = lock;
     rec.topology = "mesh:4x4";
-    rec.impl = "fast";
     rec.cores = 16;
     rec.bigRouters = 1;
     rec.threads = 1;
     rec.seed = seed;
     rec.csScale = 0.05;
+    rec.barrierEntries = 16;
+    rec.eiEntries = 16;
+    rec.barrierTtl = 128;
+    rec.spinInterval = 16;
+    rec.contextSwitchCost = 1500;
+    rec.wakeupCost = 1500;
+    rec.numLocks = 1;
     rec.roiCycles = roi_cycles;
     rec.csCompleted = 320;
     rec.parallelCycles = roi_cycles / 2;
@@ -175,14 +181,13 @@ TEST(RunRecord, SchemaVersionCompatibility)
     EXPECT_TRUE(schemaVersionCompatible(doc, 1));
 }
 
-TEST(RunRecord, ConfigKeyPairsAcrossThreadsAndImpl)
+TEST(RunRecord, ConfigKeyPairsAcrossThreadsAndSplitsFigureKnobs)
 {
     RunRecord a = makeRecord("iNPG", "QSL", 1, 100);
     RunRecord b = a;
-    // threads and impl are documented bit-identical in simulated
-    // results, so they are excluded from the pairing identity.
+    // threads is documented bit-identical in simulated results, so it
+    // is excluded from the pairing identity.
     b.threads = 4;
-    b.impl = "reference";
     EXPECT_EQ(a.configKey(), b.configKey());
 
     RunRecord c = a;
@@ -191,6 +196,22 @@ TEST(RunRecord, ConfigKeyPairsAcrossThreadsAndImpl)
     RunRecord d = a;
     d.lock = "MCS";
     EXPECT_NE(a.configKey(), d.configKey());
+
+    // Every knob a figure sweeps is part of the identity: Fig. 15's
+    // table sizes and the ablations' TTL / spin / OS-cost points must
+    // not collapse onto one key.
+    std::vector<RunRecord> knobs(7, a);
+    knobs[0].barrierEntries = 4;
+    knobs[1].eiEntries = 4;
+    knobs[2].barrierTtl = 512;
+    knobs[3].spinInterval = 64;
+    knobs[4].contextSwitchCost = 500;
+    knobs[5].wakeupCost = 500;
+    knobs[6].numLocks = 4;
+    std::set<std::string> keys{a.configKey()};
+    for (const RunRecord &k : knobs)
+        keys.insert(k.configKey());
+    EXPECT_EQ(keys.size(), knobs.size() + 1);
 }
 
 TEST(ExperimentLedger, ConcurrentAppendsNeverTearLines)
@@ -284,6 +305,27 @@ TEST(Report, RegressGatesFreshAgainstBaseline)
     // A baseline configuration missing from the fresh ledger fails.
     std::vector<RunRecord> partial = {baseline[0]};
     EXPECT_FALSE(regressLedger(partial, baseline).pass);
+}
+
+TEST(Report, AggregateFig2IsRatioOfSeedMeans)
+{
+    // Two seeds whose per-seed LCO shares are 10% and 3.33%: the mean
+    // of the ratios would print 6.7%, the ratio of the seed means
+    // 1600 / (2000 x 16) prints 5.0%.
+    std::vector<RunRecord> records = {
+        makeRecord("Original", "TAS", 1, 1000),
+        makeRecord("Original", "TAS", 2, 3000)};
+    for (RunRecord &r : records)
+        r.lockCohCycles = 1600;
+    const std::string report = aggregateReport(records);
+    EXPECT_NE(report.find("| freq | Original | 5.0% |"),
+              std::string::npos)
+        << report;
+
+    const std::vector<const RunRecord *> runs{&records[0], &records[1]};
+    EXPECT_DOUBLE_EQ(lcoShare(runs), 0.05);
+    EXPECT_DOUBLE_EQ(seedMean(runs, &RunRecord::roiCycles), 2000.0);
+    EXPECT_EQ(seedMean({}, &RunRecord::roiCycles), 0.0);
 }
 
 TEST(Report, AggregateIsDeterministic)

@@ -116,8 +116,8 @@ TEST(LcoAttribution, TasVsMcsOrderingMatchesFig02)
     // Figure 2: TAS has the highest lock-coherence share, MCS among
     // the lowest. The attribution must reproduce that ordering, and
     // agree with the independent L1-side lock_coh_cycles accounting.
-    // Like bench_fig02_lco, concentrate all threads on a single lock
-    // so contention (which is what separates the two) dominates.
+    // Like bench_figures' Fig. 2, concentrate all threads on a single
+    // lock so contention (which is what separates the two) dominates.
     LcoRun tas = runWithLco(LockKind::Tas, Mechanism::Original, "face",
                             0.01, 1);
     LcoRun mcs = runWithLco(LockKind::Mcs, Mechanism::Original, "face",
