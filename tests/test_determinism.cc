@@ -149,7 +149,7 @@ TEST(Determinism, FastForwardIsInvisibleForSpinLocks)
  */
 std::string
 goldenRunText(const std::string &overrides, const char *bench,
-              double cs_scale)
+              double cs_scale, int threads = 1)
 {
     std::string lines = overrides;
     for (char &c : lines)
@@ -159,6 +159,7 @@ goldenRunText(const std::string &overrides, const char *bench,
     args.loadString(lines);
     SystemConfig cfg;
     cfg.telemetry.lco = true;
+    cfg.threads = threads;
     cfg.applyOverrides(args);
     System system(cfg);
 
@@ -199,6 +200,21 @@ goldenRunText(const std::string &overrides, const char *bench,
        << "lco.leg.spin_wait " << lco.legs.spinWait << "\n"
        << "lco.leg.sleep_wait " << lco.legs.sleepWait << "\n"
        << "lco.leg.other " << lco.legs.other << "\n";
+    // Packet-telemetry runs also pin the hop-level output: the
+    // noc.packets latency group and the Chrome trace built from the
+    // per-hop stamps.
+    const Telemetry &telem = *system.telemetry();
+    if (telem.packets) {
+        const JsonValue snap = system.statsSnapshot(false);
+        os << "noc.packets_fnv1a " << std::hex
+           << fnv1a64(snap.at("groups").at("noc.packets").dump())
+           << std::dec << "\n";
+    }
+    if (telem.trace) {
+        os << "trace.events " << telem.trace->eventCount() << "\n"
+           << "trace_fnv1a " << std::hex
+           << fnv1a64(telem.trace->writeJson()) << std::dec << "\n";
+    }
     return os.str();
 }
 
@@ -269,6 +285,19 @@ TEST(Determinism, GoldenMesh4x4McsFreq)
     expectMatchesGolden(
         "run_mesh4x4_mcs_freq.txt",
         goldenRunText("topology=mesh:4x4 lock=mcs", "freq", 0.005));
+}
+
+TEST(FabricDeterminism, GoldenMesh8x8InpgTasPackets)
+{
+    // Hop-level packet telemetry (arrive / VA-grant / depart stamps)
+    // is written by fabric routers, which run on worker threads when
+    // the fabric is sharded: the rendering must not depend on the
+    // thread count.
+    const std::string overrides = "topology=mesh:8x8 mechanism=inpg "
+                                  "lock=tas telemetry=lco,packets,trace";
+    const std::string serial = goldenRunText(overrides, "ferret", 0.1);
+    EXPECT_EQ(serial, goldenRunText(overrides, "ferret", 0.1, 4));
+    expectMatchesGolden("run_mesh8x8_inpg_tas_packets.txt", serial);
 }
 
 TEST(Determinism, GoldenSeededHangReport)
