@@ -18,18 +18,6 @@ static_assert(static_cast<int>(L1State::I) == 0 &&
                   L1_NUM_STATES == 5,
               "L1State layout must match the protocol table");
 
-namespace {
-
-/** LCO tracker when telemetry is enabled with lco, else nullptr. */
-inline LcoTracker *
-lcoOf(Simulator &sim)
-{
-    Telemetry *t = sim.telemetry();
-    return t ? t->lco : nullptr;
-}
-
-} // namespace
-
 const char *
 l1StateName(L1State s)
 {
@@ -163,7 +151,7 @@ L1Controller::startOperation(Pending &&op)
                 core);
     op.issuedAt = sim.now();
     ++*opsIssuedCtr;
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->opIssued(core, op.issuedAt);
     pending.emplace(std::move(op));
     // The L1 array access takes l1Latency cycles; hit/miss is decided
@@ -251,7 +239,7 @@ L1Controller::beginMiss(Pending &&op)
     const NodeId home = cfg.homeOf(op.addr);
     const int prio = nextPriority;
     nextPriority = 0;
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->requestSent(core, now);
     pending.emplace(std::move(op));
     send(msg, home, now, prio);
@@ -265,7 +253,7 @@ L1Controller::executePendingOp(Cycle now)
     Pending op = std::move(*pending);
     pending.reset();
     ++*opsCompletedCtr;
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->opCompleted(core, now);
 
     Line &l = line(op.addr);
@@ -573,7 +561,7 @@ L1Controller::handleInv(const CohMsgPtr &msg, Cycle now)
         pending->invWhileFilling = true;
 
     if (msg->fromBigRouter) {
-        if (LcoTracker *lco = lcoOf(sim))
+        if (LcoTracker *lco = lcoOf(sim.telemetry()))
             lco->earlyInvSeen(msg->requester);
     }
 
@@ -630,7 +618,7 @@ L1Controller::handleData(const CohMsgPtr &msg, Cycle now)
                     (!pending->exclusive || msg->demoted),
                 "core %d got unexpected %s", core,
                 msg->toString().c_str());
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->responseArrived(core, now);
     Line &l = line(msg->addr);
     pending->hasData = true;
@@ -651,7 +639,7 @@ L1Controller::handleDataExcl(const CohMsgPtr &msg, Cycle now)
     INPG_ASSERT(pending && pending->addr == msg->addr,
                 "core %d got unexpected %s", core,
                 msg->toString().c_str());
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->responseArrived(core, now);
     if (!pending->exclusive) {
         // GetS answered exclusively: no other copy exists.
@@ -686,7 +674,7 @@ L1Controller::handleAckCount(const CohMsgPtr &msg, Cycle now)
                 msg->toString().c_str());
     INPG_ASSERT(!pending->hasAckInfo, "core %d got duplicate ack info",
                 core);
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->responseArrived(core, now);
     pending->hasAckInfo = true;
     pending->ackCount = msg->ackCount;
@@ -718,7 +706,7 @@ L1Controller::handleInvAck(const CohMsgPtr &msg, Cycle now)
         cohStats->recordInvAckRtt(msg->requester,
                                   now - msg->invGeneratedAt,
                                   msg->fromBigRouter);
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->invAckArrived(core, now, msg->fromBigRouter);
     maybeCompleteExclusive(now);
 }

@@ -118,9 +118,7 @@ buildHangReport(System &sys, Cycle now, const char *reason)
     doc["idle_l1s"] = idle_l1s;
 
     if (telem && telem->recorder) {
-        JsonValue fr = JsonValue::object();
-        fr["recorded_total"] = telem->recorder->recordedTotal();
-        fr["lost_to_wrap"] = telem->recorder->wrapped();
+        JsonValue fr = telem->recorder->countsJson();
         fr["events"] = telem->recorder->toJson();
         doc["flight_recorder"] = std::move(fr);
     }

@@ -216,12 +216,8 @@ System::statsSnapshot(bool include_parallel_profile) const
         ts["dropped_rows"] = telem->timeseries->droppedRows();
         doc["timeseries"] = ts;
     }
-    if (telem && telem->recorder) {
-        JsonValue fr = JsonValue::object();
-        fr["recorded_total"] = telem->recorder->recordedTotal();
-        fr["lost_to_wrap"] = telem->recorder->wrapped();
-        doc["recorder"] = fr;
-    }
+    if (telem && telem->recorder)
+        doc["recorder"] = telem->recorder->countsJson();
     // Absent at threads == 1, so serial snapshots are byte-identical
     // to pre-profiler ones; the flag lets the parallel-equivalence
     // tests compare thread counts on the simulated sections alone.

@@ -1,14 +1,16 @@
 #include "inpg/big_router.hh"
 
 #include "common/logging.hh"
+#include "telemetry/telemetry.hh"
 
 namespace inpg {
 
 BigRouter::BigRouter(NodeId node_id, const NocConfig &noc_cfg,
                      const RoutingAlgorithm *routing,
-                     const InpgConfig &inpg_cfg, const CohConfig &coh_cfg)
+                     const Simulator &simulator, const InpgConfig &inpg_cfg,
+                     const CohConfig &coh_cfg)
     : Router(node_id, noc_cfg, routing),
-      brNode(node_id * noc_cfg.concentration),
+      brNode(node_id * noc_cfg.concentration), sim(simulator),
       gen(brNode, inpg_cfg, coh_cfg), cohCfg(coh_cfg),
       // Generated packets need ids that cannot collide with the
       // Network's allocator; tag them with the node in the top bits.
@@ -36,9 +38,10 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
             flit->packet->dst = home;
             msg->toDirectory = true;
             ++stats.counter("inv_acks_relayed");
-            if (FlightRecorder *fr = flightRecorder()) {
-                fr->record(FrKind::AckRelay, now, nodeId(), msg->addr,
-                           static_cast<std::uint64_t>(home));
+            if (Telemetry *t = sim.telemetry(); t && t->recorder) {
+                t->recorder->record(FrKind::AckRelay, now, nodeId(),
+                                    msg->addr,
+                                    static_cast<std::uint64_t>(home));
             }
         }
         return;
@@ -54,9 +57,10 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
                                             /*num_flits=*/1, inv);
         injectGenerated(pkt, now);
         ++stats.counter("early_invs_injected");
-        if (FlightRecorder *fr = flightRecorder()) {
-            fr->record(FrKind::BarrierStop, now, nodeId(), msg->addr,
-                       static_cast<std::uint64_t>(msg->requester));
+        if (Telemetry *t = sim.telemetry(); t && t->recorder) {
+            t->recorder->record(
+                FrKind::BarrierStop, now, nodeId(), msg->addr,
+                static_cast<std::uint64_t>(msg->requester));
         }
     }
 }
@@ -78,6 +82,15 @@ void
 BigRouter::generatorPhase(Cycle now)
 {
     gen.maintain(now);
+    Packet *pkt = drainGeneratorQueue(now);
+    if (!pkt)
+        return;
+    // Generated packets bypass the source NI: open their lifetime
+    // record here, with this router as the first hop.
+    if (Telemetry *t = sim.telemetry(); t && t->packets) {
+        t->packets->onPacketQueued(*pkt, now);
+        pkt->lifetime->arrive(nodeId(), now);
+    }
 }
 
 JsonValue
@@ -92,13 +105,14 @@ RouterFactory
 makeInpgRouterFactory(const InpgConfig &inpg_cfg, const CohConfig &coh_cfg)
 {
     return [inpg_cfg, coh_cfg](NodeId id, const NocConfig &noc_cfg,
-                               const RoutingAlgorithm *routing)
+                               const RoutingAlgorithm *routing,
+                               const Simulator &sim)
                -> std::unique_ptr<Router> {
         CohConfig coh = coh_cfg;
         coh.numNodes = noc_cfg.numNodes();
         if (isBigRouterNode(id, noc_cfg.meshWidth, noc_cfg.meshHeight,
                             inpg_cfg.numBigRouters)) {
-            return std::make_unique<BigRouter>(id, noc_cfg, routing,
+            return std::make_unique<BigRouter>(id, noc_cfg, routing, sim,
                                                inpg_cfg, coh);
         }
         return std::make_unique<Router>(id, noc_cfg, routing);

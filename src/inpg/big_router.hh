@@ -26,9 +26,10 @@ namespace inpg {
 class BigRouter : public Router
 {
   public:
+    /** @param sim kernel whose telemetry the router reports to */
     BigRouter(NodeId node_id, const NocConfig &noc_cfg,
-              const RoutingAlgorithm *routing, const InpgConfig &inpg_cfg,
-              const CohConfig &coh_cfg);
+              const RoutingAlgorithm *routing, const Simulator &sim,
+              const InpgConfig &inpg_cfg, const CohConfig &coh_cfg);
 
     bool isBigRouter() const override { return true; }
 
@@ -64,6 +65,7 @@ class BigRouter : public Router
      * route back to this router. Equals nodeId() when concentration=1.
      */
     NodeId brNode;
+    const Simulator &sim;
     PacketGenerator gen;
     CohConfig cohCfg;
     PacketId nextGenPacketId;

@@ -16,11 +16,11 @@ Network::Network(const NocConfig &config, Simulator &sim,
 
     for (NodeId id = 0; id < n; ++id) {
         if (factory)
-            routers.push_back(factory(id, cfg, routingAlgo.get()));
+            routers.push_back(factory(id, cfg, routingAlgo.get(), sim));
         else
             routers.push_back(
                 std::make_unique<Router>(id, cfg, routingAlgo.get()));
-        nis.push_back(std::make_unique<NetworkInterface>(id, cfg));
+        nis.push_back(std::make_unique<NetworkInterface>(id, cfg, sim));
     }
 
     // Local port wiring: NI <-> router.
@@ -131,30 +131,18 @@ Network::niCounterTotal(const std::string &key) const
 void
 Network::setTelemetry(Telemetry *t)
 {
-    PacketLifetimeTracker *tracker = t ? t->packets : nullptr;
-    FlightRecorder *rec = t ? t->recorder : nullptr;
-    for (auto &r : routers) {
-        r->setPacketTracker(tracker);
-        r->setFlightRecorder(rec);
+    if (!t || !t->trace)
+        return;
+    for (const auto &r : routers) {
+        t->trace->nameTrack(
+            TrackGroup::Routers, static_cast<std::uint32_t>(r->nodeId()),
+            format("%srouter %d", r->isBigRouter() ? "big " : "",
+                   r->nodeId()));
     }
-    for (auto &ni_ptr : nis) {
-        ni_ptr->setPacketTracker(tracker);
-        ni_ptr->setFlightRecorder(rec);
-    }
-    if (t && t->trace) {
-        for (const auto &r : routers) {
-            t->trace->nameTrack(
-                TrackGroup::Routers,
-                static_cast<std::uint32_t>(r->nodeId()),
-                format("%srouter %d", r->isBigRouter() ? "big " : "",
-                       r->nodeId()));
-        }
-        for (const auto &ni_ptr : nis) {
-            t->trace->nameTrack(
-                TrackGroup::NetworkInterfaces,
-                static_cast<std::uint32_t>(ni_ptr->nodeId()),
-                format("ni %d", ni_ptr->nodeId()));
-        }
+    for (const auto &ni_ptr : nis) {
+        t->trace->nameTrack(TrackGroup::NetworkInterfaces,
+                            static_cast<std::uint32_t>(ni_ptr->nodeId()),
+                            format("ni %d", ni_ptr->nodeId()));
     }
 }
 

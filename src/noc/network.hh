@@ -25,11 +25,13 @@
 namespace inpg {
 
 /**
- * Creates the router for a node; the harness substitutes BigRouter
- * instances at iNPG deployment sites through this hook.
+ * Creates the router for a node (given the kernel it will register
+ * with); the harness substitutes BigRouter instances at iNPG
+ * deployment sites through this hook.
  */
 using RouterFactory = std::function<std::unique_ptr<Router>(
-    NodeId, const NocConfig &, const RoutingAlgorithm *)>;
+    NodeId, const NocConfig &, const RoutingAlgorithm *,
+    const Simulator &)>;
 
 /** The complete on-chip network of one simulated system. */
 class Network
@@ -90,9 +92,9 @@ class Network
     double meanPacketLatency() const;
 
     /**
-     * Attach (or detach with nullptr) the telemetry facade: forwards
-     * the packet-lifetime tracker to every router and NI and names
-     * their trace tracks.
+     * Name the router and NI trace tracks when the telemetry facade
+     * has a trace sink. NIs and big routers read the facade itself
+     * through Simulator::telemetry().
      */
     void setTelemetry(Telemetry *t);
 

@@ -1,12 +1,15 @@
 #include "noc/network_interface.hh"
 
 #include "common/logging.hh"
-#include "telemetry/packet_lifetime.hh"
+#include "sim/simulator.hh"
+#include "telemetry/telemetry.hh"
 
 namespace inpg {
 
-NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config)
-    : id(node_id), cfg(config), baseNode(node_id * cfg.concentration),
+NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config,
+                                   const Simulator &simulator)
+    : id(node_id), cfg(config), sim(simulator),
+      baseNode(node_id * cfg.concentration),
       deliver(static_cast<std::size_t>(cfg.concentration)),
       routerPort(cfg.totalVcs(), cfg.vcDepth)
 {
@@ -44,13 +47,14 @@ NetworkInterface::sendPacket(const PacketPtr &pkt, Cycle now)
     injectQueues[static_cast<std::size_t>(pkt->vnet)].push_back(pkt);
     ++queuedPkts;
     ++*packetsQueuedCtr;
-    if (pktTel)
-        pktTel->onPacketQueued(*pkt, now);
-    if (frec) {
+    if (Telemetry *t = sim.telemetry()) {
+        if (t->packets)
+            t->packets->onPacketQueued(*pkt, now);
         // No address at this layer: addr carries the packet id, arg
         // the destination node.
-        frec->record(FrKind::NiInject, now, id, pkt->id,
-                     static_cast<std::uint64_t>(pkt->dst));
+        if (t->recorder)
+            t->recorder->record(FrKind::NiInject, now, id, pkt->id,
+                                static_cast<std::uint64_t>(pkt->dst));
     }
     wakeSelf();
 }
@@ -119,11 +123,13 @@ NetworkInterface::ejectFlits(Cycle now)
             ++*packetsDeliveredCtr;
             packetLatencySample->add(
                 static_cast<double>(now - pkt->injectCycle));
-            if (pktTel)
-                pktTel->onPacketEjected(*pkt, now);
-            if (frec) {
-                frec->record(FrKind::NiEject, now, id, pkt->id,
-                             static_cast<std::uint64_t>(pkt->src));
+            if (Telemetry *t = sim.telemetry()) {
+                if (t->packets)
+                    t->packets->onPacketEjected(*pkt, now);
+                if (t->recorder)
+                    t->recorder->record(
+                        FrKind::NiEject, now, id, pkt->id,
+                        static_cast<std::uint64_t>(pkt->src));
             }
             const auto sink =
                 static_cast<std::size_t>(pkt->dst - baseNode);
@@ -198,8 +204,8 @@ NetworkInterface::injectOneFlit(Cycle now)
         flit->vc = fl.vc;
         if (fl.nextSeq == 0) {
             pkt->networkEntryCycle = now;
-            if (pktTel)
-                pktTel->onNetworkEntry(pkt->id, now);
+            if (PacketLifetime *life = pkt->lifetime)
+                life->entered = now;
         }
         routerPort.decrementCredit(fl.vc);
         txChannel->pushFlit(std::move(flit), now);

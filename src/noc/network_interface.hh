@@ -31,11 +31,11 @@
 #include "noc/output_unit.hh"
 #include "noc/ring_buffer.hh"
 #include "sim/ticking.hh"
-#include "telemetry/flight_recorder.hh"
+#include "telemetry/json.hh"
 
 namespace inpg {
 
-class PacketLifetimeTracker;
+class Simulator;
 
 /** Endpoint adapter between tile controllers and the router fabric. */
 class NetworkInterface : public Ticking
@@ -43,7 +43,9 @@ class NetworkInterface : public Ticking
   public:
     using DeliverFn = std::function<void(const PacketPtr &, Cycle)>;
 
-    NetworkInterface(NodeId node_id, const NocConfig &cfg);
+    /** @param sim kernel whose telemetry the NI reports to */
+    NetworkInterface(NodeId node_id, const NocConfig &cfg,
+                     const Simulator &sim);
 
     /**
      * @param to_router   channel whose flit line the NI drives
@@ -89,12 +91,6 @@ class NetworkInterface : public Ticking
     /** True when no packet is queued, serializing, or reassembling. */
     bool idle() const;
 
-    /** Attach (or detach with nullptr) the packet-lifetime tracker. */
-    void setPacketTracker(PacketLifetimeTracker *t) { pktTel = t; }
-
-    /** Attach (or detach with nullptr) the flight recorder. */
-    void setFlightRecorder(FlightRecorder *r) { frec = r; }
-
     /**
      * Endpoint state for the hang report: per-vnet inject-queue
      * depths, packets mid-serialization, reassembly occupancy.
@@ -111,6 +107,7 @@ class NetworkInterface : public Ticking
 
     NodeId id;
     NocConfig cfg;
+    const Simulator &sim;
 
     /** First served node (id * concentration). */
     NodeId baseNode;
@@ -147,12 +144,6 @@ class NetworkInterface : public Ticking
      */
     std::size_t queuedPkts = 0;
     std::size_t reassemblingFlits = 0;
-
-    /** Packet-lifetime telemetry; null when telemetry is off. */
-    PacketLifetimeTracker *pktTel = nullptr;
-
-    /** Flight recorder; null when off. */
-    FlightRecorder *frec = nullptr;
 
     /** Cached hot stat handles (string lookup once at construction). */
     std::uint64_t *packetsQueuedCtr = nullptr;

@@ -28,6 +28,8 @@ struct PacketData {
 /** Unique packet identifier (per network). */
 using PacketId = std::uint64_t;
 
+struct PacketLifetime;
+
 /**
  * End-to-end network packet.
  *
@@ -50,6 +52,14 @@ class Packet
     NodeId dst;
     VnetId vnet;
     int numFlits;
+
+    /**
+     * Hop-level lifetime record (telemetry/packet_lifetime.hh), or
+     * null unless `telemetry=packets` is on. Opened by the source NI
+     * (or by the big router for generated packets), stamped by every
+     * router the head flit crosses, retired at ejection.
+     */
+    PacketLifetime *lifetime = nullptr;
 
     /** Opaque payload; coherence messages derive from PacketData. */
     std::shared_ptr<PacketData> payload;

@@ -183,10 +183,8 @@ Router::tick(Cycle now)
     drainFlits(now);
     // Generator machinery exists only on routers with a generator port
     // (BigRouter); skip the virtual hook on plain routers.
-    if (genPort >= 0) {
+    if (genPort >= 0)
         generatorPhase(now);
-        drainGeneratorQueue(now);
-    }
     // Idle fast path: with no buffered flit anywhere, the allocation
     // stages have no work. The whole-router occupancy counter makes the
     // check one load.
@@ -245,9 +243,8 @@ Router::drainFlits(Cycle now)
             FlitPtr flit = ch->flits.pop(now);
             if (isHeadFlit(flit->type)) {
                 onHeadFlitArrived(flit, p, now);
-                if (pktTel)
-                    telRouterOp(PacketTelOp::Kind::RouterArrive,
-                                flit->packet->id, now);
+                if (PacketLifetime *life = flit->packet->lifetime)
+                    life->arrive(id, now);
             }
             vcs.receiveFlit(p, std::move(flit), now);
             ++*flitsReceivedCtr;
@@ -255,11 +252,11 @@ Router::drainFlits(Cycle now)
     }
 }
 
-void
+Packet *
 Router::drainGeneratorQueue(Cycle now)
 {
     if (genPort < 0 || genQueue.empty())
-        return;
+        return nullptr;
     // One injection per cycle: find an idle, empty VC in the packet's
     // vnet range and materialize the packet as a single HeadTail flit.
     const PacketPtr &pkt = genQueue.front();
@@ -270,18 +267,14 @@ Router::drainGeneratorQueue(Cycle now)
             FlitPtr flit = makeFlit(pkt, FlitType::HeadTail, 0);
             flit->vc = vc;
             pkt->networkEntryCycle = now;
-            if (pktTel) {
-                // Generator packets bypass the source NI; open their
-                // lifetime record here so hop stamps have a home.
-                pktTel->onPacketQueued(*pkt, now);
-                pktTel->onRouterArrive(id, pkt->id, now);
-            }
+            Packet *injected = pkt.get();
             vcs.receiveFlit(genPort, std::move(flit), now);
             ++stats.counter("gen_packets_injected");
             genQueue.pop_front();
-            return;
+            return injected;
         }
     }
+    return nullptr;
 }
 
 void
@@ -319,9 +312,8 @@ Router::tryAllocateVc(int port, VcId v, Cycle now)
     vcs.state[s] = VcStateArray::Active;
     vcs.refreshMask(port, v);
     ++*vaGrantsCtr;
-    if (pktTel)
-        telRouterOp(PacketTelOp::Kind::VaGrant,
-                    vcs.front(s)->packet->id, now);
+    if (PacketLifetime *life = vcs.front(s)->packet->lifetime)
+        life->currentHop(id).vaGrant = now;
 }
 
 void
@@ -363,9 +355,8 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
         onHeadFlitGranted(flit, inport, static_cast<Direction>(outport),
                           now);
         ++*packetsRoutedCtr;
-        if (pktTel)
-            telRouterOp(PacketTelOp::Kind::RouterDepart,
-                        flit->packet->id, now);
+        if (PacketLifetime *life = flit->packet->lifetime)
+            life->currentHop(id).depart = now;
     }
 
     // Return a buffer credit upstream (none for the generator port).

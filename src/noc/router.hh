@@ -34,12 +34,9 @@
 #include "noc/routing.hh"
 #include "noc/vc_state.hh"
 #include "sim/ticking.hh"
-#include "telemetry/flight_recorder.hh"
-#include "telemetry/packet_lifetime.hh"
+#include "telemetry/json.hh"
 
 namespace inpg {
-
-class PacketLifetimeTracker;
 
 /** Baseline ("normal") NoC router. */
 class Router : public Ticking
@@ -79,24 +76,6 @@ class Router : public Ticking
     /** Sum of flits buffered across all input units (invariant checks). */
     std::size_t bufferedFlits() const;
 
-    /** Attach (or detach with nullptr) the packet-lifetime tracker. */
-    void setPacketTracker(PacketLifetimeTracker *t) { pktTel = t; }
-
-    /** Attached packet-lifetime tracker (parallel-kernel replay). */
-    PacketLifetimeTracker *packetTracker() const { return pktTel; }
-
-    /**
-     * Divert packet-lifetime hooks into a per-domain deferred log
-     * instead of calling the tracker directly (set by the parallel
-     * kernel for routers running off the coordinator thread; the
-     * coordinator replays the log at each quantum barrier). nullptr
-     * restores direct calls.
-     */
-    void setPacketTelLog(std::vector<PacketTelOp> *log) { telLog = log; }
-
-    /** Attach (or detach with nullptr) the flight recorder. */
-    void setFlightRecorder(FlightRecorder *r) { frec = r; }
-
     /**
      * Structured dump of the router's pipeline state for the hang
      * report: every occupied/claimed input VC (state, occupancy,
@@ -132,7 +111,11 @@ class Router : public Ticking
         (void)now;
     }
 
-    /** Per-cycle hook before allocation phases (BigRouter injection). */
+    /**
+     * Per-cycle hook before allocation phases, run only on routers
+     * with a generator port: BigRouter maintains its barriers and
+     * drains the generator queue here.
+     */
     virtual void
     generatorPhase(Cycle now)
     {
@@ -158,13 +141,17 @@ class Router : public Ticking
      */
     void injectGenerated(const PacketPtr &pkt, Cycle now);
 
+    /**
+     * Move the oldest queued generated packet into an idle
+     * generator-port VC (at most one per cycle). Returns the injected
+     * packet, or null when none was.
+     */
+    Packet *drainGeneratorQueue(Cycle now);
+
     const NocConfig &config() const { return cfg; }
 
     /** Number of input ports including the generator port if present. */
     int numInPorts() const { return nInPorts; }
-
-    /** Flight recorder, or null when off (BigRouter hook sites). */
-    FlightRecorder *flightRecorder() const { return frec; }
 
   private:
     void drainCredits(Cycle now);
@@ -200,7 +187,6 @@ class Router : public Ticking
     }
     /** Switch traversal of SA winner (inport, vc) -> outport. */
     void switchTraverse(int inport, VcId v, int outport, Cycle now);
-    void drainGeneratorQueue(Cycle now);
 
     NodeId id;
     NocConfig cfg;
@@ -267,36 +253,6 @@ class Router : public Ticking
      *  OCOR reorders competing requests without starving responses). */
     std::vector<std::size_t> saInportVnetPtr;
     std::array<std::size_t, NUM_PORTS> saOutportVnetPtr{};
-
-    /** Packet-lifetime telemetry; null when telemetry is off. */
-    PacketLifetimeTracker *pktTel = nullptr;
-
-    /** Deferred-op log for pktTel; null on the coordinator thread. */
-    std::vector<PacketTelOp> *telLog = nullptr;
-
-    /** Flight recorder; null when off. */
-    FlightRecorder *frec = nullptr;
-
-    /** Route a pktTel hook directly or into the deferred log. */
-    void
-    telRouterOp(PacketTelOp::Kind kind, PacketId pkt, Cycle now)
-    {
-        if (telLog) {
-            telLog->push_back(PacketTelOp{kind, id, pkt, now});
-            return;
-        }
-        switch (kind) {
-          case PacketTelOp::Kind::RouterArrive:
-            pktTel->onRouterArrive(id, pkt, now);
-            break;
-          case PacketTelOp::Kind::VaGrant:
-            pktTel->onVaGrant(id, pkt, now);
-            break;
-          case PacketTelOp::Kind::RouterDepart:
-            pktTel->onRouterDepart(id, pkt, now);
-            break;
-        }
-    }
 
     /** Cached hot counters (string lookup once at construction). */
     std::uint64_t *flitsReceivedCtr = nullptr;

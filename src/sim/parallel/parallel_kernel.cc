@@ -91,10 +91,7 @@ ParallelKernel::ParallelKernel(Simulator &sim_, Network &net_,
         const int dom = domainByNode[static_cast<std::size_t>(id)];
         if (dom == 0)
             continue;
-        Router &r = net.router(id);
-        adopt(&r, dom);
-        r.setPacketTelLog(&domains[static_cast<std::size_t>(dom - 1)]
-                               .telLog);
+        adopt(&net.router(id), dom);
     }
     for (Domain &d : domains)
         rebindDomainTokens(d);
@@ -115,7 +112,7 @@ ParallelKernel::ParallelKernel(Simulator &sim_, Network &net_,
 ParallelKernel::~ParallelKernel() { shutdown(); }
 
 void
-ParallelKernel::adopt(Router *comp, int domain)
+ParallelKernel::adopt(Ticking *comp, int domain)
 {
     SleepToken &tok = comp->sleepToken();
     INPG_ASSERT(tok.bound(),
@@ -311,7 +308,6 @@ ParallelKernel::step(Cycle quantum)
     }
     const std::uint64_t tMerge = ParallelProfile::nowNs();
     drainOutboxes();
-    replayTelLogs();
     prof->coordinatorQuantum(tBarrier - tSweep,
                              fabricBusy ? tMerge - tBarrier : 0,
                              ParallelProfile::nowNs() - tMerge);
@@ -365,27 +361,6 @@ ParallelKernel::drainOutboxes()
 }
 
 void
-ParallelKernel::replayTelLogs()
-{
-    // Fabric routers defer packet-lifetime hooks into per-domain logs
-    // (the tracker's map lives on the coordinator). Replay order
-    // across domains is immaterial: one packet occupies one router per
-    // cycle, so its ops land in a single domain log in program order,
-    // and ops of different packets touch disjoint records.
-    for (Domain &d : domains) {
-        if (d.telLog.empty())
-            continue;
-        for (const PacketTelOp &op : d.telLog) {
-            PacketLifetimeTracker *t =
-                net.router(op.router).packetTracker();
-            INPG_ASSERT(t != nullptr, "deferred op without tracker");
-            t->apply(op);
-        }
-        d.telLog.clear();
-    }
-}
-
-void
 ParallelKernel::shutdown()
 {
     if (joined)
@@ -402,7 +377,6 @@ ParallelKernel::shutdown()
     // Flush any unmerged traffic (normally none: shutdown happens
     // between quanta, after the merge), then undo the diversion.
     drainOutboxes();
-    replayTelLogs();
     for (Boundary &b : boundaries)
         b.channel->setOutbox(nullptr);
 
@@ -419,7 +393,6 @@ ParallelKernel::shutdown()
         tok.count = &sim.activeCount;
         if (active)
             tok.wake();
-        s.comp->setPacketTelLog(nullptr);
     }
     stolen.clear();
     sim.attachParallel(nullptr);

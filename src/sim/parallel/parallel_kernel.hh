@@ -9,9 +9,11 @@
  * BigRouter -- stays on the coordinator (domain 0, the calling
  * thread), which also owns the event queue. Plain routers are pure
  * dataflow machines: they never schedule events, never allocate
- * packets, and only talk to their channels, so a fabric domain needs
- * no event-queue shard and no allocator -- the per-edge outbox
- * mailboxes carry the only cross-tile traffic (flits and credits).
+ * packets, and only talk to their channels (plus, with packet
+ * telemetry on, the lifetime record riding on each packet they
+ * forward), so a fabric domain needs no event-queue shard and no
+ * allocator -- the per-edge outbox mailboxes carry the only cross-tile
+ * traffic (flits and credits).
  *
  * Each quantum the coordinator releases the workers, sweeps its own
  * active set (events + domain-0 components) for the same cycles,
@@ -19,8 +21,10 @@
  * outboxes that saw a push this quantum (each thread's dirty list)
  * are drained in deterministic channel order (each re-push carries
  * the original push cycle, so delivery cycles are exactly the serial
- * ones), and deferred packet-telemetry ops are replayed into the
- * tracker. The quantum length is bounded by the conservative
+ * ones). A packet's head flit sits in one router per cycle and
+ * crosses domains only through those outboxes, so each packet
+ * lifetime record has one writer per quantum and the coordinator
+ * reads it only after a merge. The quantum length is bounded by the conservative
  * lookahead min(linkLatency + 1, creditLatency): no cross-domain item
  * pushed inside a quantum can become deliverable before the quantum
  * ends, so the merge is never late. Diagnosis observers (timeseries
@@ -51,12 +55,10 @@
 #include "noc/link.hh"
 #include "sim/parallel/parallel_profile.hh"
 #include "sim/parallel/spin_barrier.hh"
-#include "telemetry/packet_lifetime.hh"
 
 namespace inpg {
 
 class Network;
-class Router;
 class Simulator;
 class Ticking;
 
@@ -126,8 +128,6 @@ class ParallelKernel
         std::vector<Ticking *> comps;
         std::vector<std::uint64_t> bits;
         std::size_t activeCount = 0;
-        /** Deferred packet-telemetry ops, replayed at the merge. */
-        std::vector<PacketTelOp> telLog;
         /** Outboxes this domain pushed into during the quantum. */
         std::vector<ChannelOutbox *> dirty;
         QuantumGate done;
@@ -141,19 +141,18 @@ class ParallelKernel
 
     /** Steal record so shutdown() can restore the serial binding. */
     struct StolenSlot {
-        Router *comp = nullptr;
+        Ticking *comp = nullptr;
         std::size_t mainSlot = 0;
         int domain = 0;
     };
 
-    void adopt(Router *comp, int domain);
+    void adopt(Ticking *comp, int domain);
     void rebindDomainTokens(Domain &d);
     void classifyBoundaries(Network &net,
                             const std::vector<int> &domainByNode);
     void workerLoop(std::size_t d);
     std::uint64_t sweepDomain(Domain &d, Cycle base, Cycle quantum);
     void drainOutboxes();
-    void replayTelLogs();
 
     Simulator &sim;
     Network &net;

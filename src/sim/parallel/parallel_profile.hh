@@ -72,8 +72,7 @@ class ParallelProfile
     /**
      * Coordinator-side timings for the quantum just stepped: own sweep
      * (events + domain-0 components), wait for worker arrival gates
-     * (0 when the barrier was elided), and outbox-drain + telemetry
-     * replay.
+     * (0 when the barrier was elided), and outbox drain.
      */
     void coordinatorQuantum(std::uint64_t sweep_ns,
                             std::uint64_t barrier_wait_ns,

@@ -9,7 +9,7 @@
  * A gate is a monotonically increasing epoch counter; release stores
  * the new epoch, await blocks until the published epoch reaches the
  * requested one. All cross-thread data (quantum bounds, domain bitmaps,
- * outboxes, dirty-outbox lists, telemetry logs) is plain memory
+ * outboxes, dirty-outbox lists, packet lifetime records) is plain memory
  * ordered exclusively by the release/acquire pairs on these epochs --
  * there is no other lock in the simulator.
  *

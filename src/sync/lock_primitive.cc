@@ -5,17 +5,6 @@
 
 namespace inpg {
 
-namespace {
-
-inline LcoTracker *
-lcoOf(Simulator &sim)
-{
-    Telemetry *t = sim.telemetry();
-    return t ? t->lco : nullptr;
-}
-
-} // namespace
-
 const char *
 lockKindName(LockKind kind)
 {
@@ -58,28 +47,28 @@ LockPrimitive::applyOcorPriority(ThreadId t, int remaining_retries)
 void
 LockPrimitive::markAcquireStart(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->acquireBegin(t, sim.now());
 }
 
 void
 LockPrimitive::markSleepBegin(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->sleepBegin(t, sim.now());
 }
 
 void
 LockPrimitive::markSleepEnd(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->sleepEnd(t, sim.now());
 }
 
 void
 LockPrimitive::markAcquired(ThreadId t)
 {
-    if (LcoTracker *lco = lcoOf(sim))
+    if (LcoTracker *lco = lcoOf(sim.telemetry()))
         lco->acquireEnd(t, sim.now());
     ++numHolders;
     INPG_ASSERT(numHolders == 1,

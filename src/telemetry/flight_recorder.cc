@@ -88,6 +88,15 @@ FlightRecorder::~FlightRecorder()
 }
 
 JsonValue
+FlightRecorder::countsJson() const
+{
+    JsonValue out = JsonValue::object();
+    out["recorded_total"] = recordedTotal();
+    out["lost_to_wrap"] = wrapped();
+    return out;
+}
+
+JsonValue
 FlightRecorder::toJson() const
 {
     JsonValue out = JsonValue::array();

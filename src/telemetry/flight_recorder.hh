@@ -99,6 +99,9 @@ class FlightRecorder
 
     std::size_t capacity() const { return ring.size(); }
 
+    /** {recorded_total, lost_to_wrap} as a JSON object. */
+    JsonValue countsJson() const;
+
     /** Retained events, oldest first, as a JSON array. */
     JsonValue toJson() const;
 

@@ -1,7 +1,5 @@
 #include "telemetry/packet_lifetime.hh"
 
-#include <algorithm>
-
 #include "coh/coherence_msg.hh"
 #include "telemetry/trace_event.hh"
 
@@ -25,100 +23,21 @@ PacketLifetimeTracker::PacketLifetimeTracker(TraceEventSink *trace_sink)
     : sink(trace_sink)
 {}
 
-PacketLifetimeTracker::Record *
-PacketLifetimeTracker::find(PacketId id)
-{
-    auto it = live.find(id);
-    return it == live.end() ? nullptr : &it->second;
-}
-
 void
-PacketLifetimeTracker::onPacketQueued(const Packet &pkt, Cycle now)
+PacketLifetimeTracker::onPacketQueued(Packet &pkt, Cycle now)
 {
     ++stats.counter("packets_tracked");
-    Record rec;
-    rec.src = pkt.src;
-    rec.dst = pkt.dst;
-    rec.vnet = pkt.vnet;
-    rec.queued = now;
-    rec.entered = now;
-    live[pkt.id] = std::move(rec);
+    PacketLifetime &rec = live[pkt.id];
+    rec = PacketLifetime{pkt.src, pkt.dst, pkt.vnet, now, now, {}};
+    pkt.lifetime = &rec;
 }
 
 void
-PacketLifetimeTracker::onNetworkEntry(PacketId id, Cycle now)
+PacketLifetimeTracker::onPacketEjected(Packet &pkt, Cycle now)
 {
-    if (Record *rec = find(id))
-        rec->entered = now;
-}
-
-void
-PacketLifetimeTracker::onRouterArrive(NodeId router, PacketId id,
-                                      Cycle now)
-{
-    Record *rec = find(id);
-    if (!rec)
+    if (!pkt.lifetime)
         return;
-    // Hops per packet are bounded by the mesh diameter; the record
-    // retires at ejection.
-    rec->hops.push_back( // lint:allow(unbounded-recording)
-        Hop{router, now, now, now});
-}
-
-void
-PacketLifetimeTracker::onVaGrant(NodeId router, PacketId id, Cycle now)
-{
-    Record *rec = find(id);
-    if (!rec || rec->hops.empty())
-        return;
-    // Hops are pushed in traversal order; the grant belongs to the
-    // newest hop through this router.
-    for (auto it = rec->hops.rbegin(); it != rec->hops.rend(); ++it) {
-        if (it->router == router) {
-            it->vaGrant = now;
-            return;
-        }
-    }
-}
-
-void
-PacketLifetimeTracker::onRouterDepart(NodeId router, PacketId id,
-                                      Cycle now)
-{
-    Record *rec = find(id);
-    if (!rec)
-        return;
-    for (auto it = rec->hops.rbegin(); it != rec->hops.rend(); ++it) {
-        if (it->router == router) {
-            it->depart = now;
-            return;
-        }
-    }
-}
-
-void
-PacketLifetimeTracker::apply(const PacketTelOp &op)
-{
-    switch (op.kind) {
-      case PacketTelOp::Kind::RouterArrive:
-        onRouterArrive(op.router, op.pkt, op.at);
-        break;
-      case PacketTelOp::Kind::VaGrant:
-        onVaGrant(op.router, op.pkt, op.at);
-        break;
-      case PacketTelOp::Kind::RouterDepart:
-        onRouterDepart(op.router, op.pkt, op.at);
-        break;
-    }
-}
-
-void
-PacketLifetimeTracker::onPacketEjected(const Packet &pkt, Cycle now)
-{
-    auto it = live.find(pkt.id);
-    if (it == live.end())
-        return;
-    Record &rec = it->second;
+    const PacketLifetime &rec = *pkt.lifetime;
 
     ++stats.counter("packets_completed");
     stats.sample("queue_wait")
@@ -132,7 +51,7 @@ PacketLifetimeTracker::onPacketEjected(const Packet &pkt, Cycle now)
     SampleStat &bufWait = stats.sample("hop_buffer_wait");
     SampleStat &stWait = stats.sample("hop_switch_wait");
     const char *label = sink ? packetLabel(pkt) : nullptr;
-    for (const Hop &h : rec.hops) {
+    for (const PacketHop &h : rec.hops) {
         bufWait.add(static_cast<double>(h.vaGrant - h.arrive));
         stWait.add(static_cast<double>(h.depart - h.vaGrant));
         if (sink && h.depart > h.arrive) {
@@ -152,26 +71,17 @@ PacketLifetimeTracker::onPacketEjected(const Packet &pkt, Cycle now)
                       pkt.id);
     }
 
-    live.erase(it);
+    pkt.lifetime = nullptr;
+    live.erase(pkt.id);
 }
 
 JsonValue
 PacketLifetimeTracker::inFlightJson(Cycle now) const
 {
-    std::vector<const std::pair<const PacketId, Record> *> sorted;
-    sorted.reserve(live.size());
-    for (const auto &kv : live)
-        sorted.push_back(&kv);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto *a, const auto *b) {
-                  return a->first < b->first;
-              });
-
     JsonValue out = JsonValue::array();
-    for (const auto *kv : sorted) {
-        const Record &rec = kv->second;
+    for (const auto &[id, rec] : live) {
         JsonValue p = JsonValue::object();
-        p["id"] = static_cast<std::uint64_t>(kv->first);
+        p["id"] = static_cast<std::uint64_t>(id);
         p["src"] = static_cast<long long>(rec.src);
         p["dst"] = static_cast<long long>(rec.dst);
         p["vnet"] = static_cast<long long>(rec.vnet);
@@ -179,7 +89,7 @@ PacketLifetimeTracker::inFlightJson(Cycle now) const
         p["entered"] = static_cast<std::uint64_t>(rec.entered);
         p["age"] = static_cast<std::uint64_t>(now - rec.queued);
         JsonValue hops = JsonValue::array();
-        for (const Hop &h : rec.hops) {
+        for (const PacketHop &h : rec.hops) {
             JsonValue hj = JsonValue::object();
             hj["router"] = static_cast<long long>(h.router);
             hj["arrive"] = static_cast<std::uint64_t>(h.arrive);

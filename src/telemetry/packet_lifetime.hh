@@ -6,6 +6,14 @@
  * statistics and (optionally) Chrome-trace slices, one track per
  * router and network interface.
  *
+ * The stamps live in a PacketLifetime record that rides on the packet
+ * (Packet::lifetime): routers write the newest hop directly, on
+ * whichever thread ticks them. A packet's head flit sits in one
+ * router per cycle and crosses parallel-kernel domains only through
+ * the boundary outboxes drained at the quantum merge, so each record
+ * has one writer per quantum; the tracker reads it only at ejection
+ * and in the hang report, both after a merge.
+ *
  * Records live only while their packet is in flight: the eject hook
  * folds the record into running statistics, emits its trace slices,
  * and erases it, so memory stays bounded by the number of packets
@@ -15,10 +23,10 @@
 #ifndef INPG_TELEMETRY_PACKET_LIFETIME_HH
 #define INPG_TELEMETRY_PACKET_LIFETIME_HH
 
-#include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/packet.hh"
@@ -28,57 +36,64 @@ namespace inpg {
 
 class TraceEventSink;
 
-/**
- * One deferred router-side tracker call. Routers running inside a
- * parallel fabric domain cannot call the tracker directly (its map
- * and stats live on the coordinator thread), so they append ops to a
- * per-domain log that the coordinator replays at the quantum barrier
- * via PacketLifetimeTracker::apply(). Replay order across domains is
- * immaterial: a packet occupies one router per cycle, so its ops land
- * in one log in program order, and different packets touch disjoint
- * live-map records; map insert/erase and the statistics roll-up only
- * ever happen on the coordinator (NI / generator hooks).
- */
-struct PacketTelOp {
-    enum class Kind : std::uint8_t {
-        RouterArrive,
-        VaGrant,
-        RouterDepart,
-    };
-
-    Kind kind = Kind::RouterArrive;
-    NodeId router = 0;
-    PacketId pkt = 0;
-    Cycle at = 0;
+/** One router traversal of a packet's head flit. */
+struct PacketHop {
+    NodeId router;
+    Cycle arrive;  ///< buffered at the input unit
+    Cycle vaGrant; ///< granted an output virtual channel
+    Cycle depart;  ///< traversed the crossbar (ST stage)
 };
 
-/** Hop-granular lifecycle observer for NoC packets. */
+/** Hop-level stamps of one packet in flight (see file comment). */
+struct PacketLifetime {
+    NodeId src;
+    NodeId dst; ///< destination at injection (big routers may retarget)
+    VnetId vnet;
+    Cycle queued;
+    Cycle entered;
+    std::vector<PacketHop> hops;
+
+    /** Head flit buffered at `router`: open a new hop. */
+    void
+    arrive(NodeId router, Cycle now)
+    {
+        // Hops per packet are bounded by the path length; the record
+        // retires at ejection.
+        hops.push_back( // lint:allow(unbounded-recording)
+            PacketHop{router, now, now, now});
+    }
+
+    /**
+     * The hop a VA grant or departure at `router` belongs to: always
+     * the newest, since the head flit leaves a router before it can
+     * arrive at the next.
+     */
+    PacketHop &
+    currentHop(NodeId router)
+    {
+        INPG_ASSERT(!hops.empty() && hops.back().router == router,
+                    "router %d stamps a packet whose newest hop is "
+                    "elsewhere",
+                    router);
+        return hops.back();
+    }
+};
+
+/** Opens, rolls up and retires the packets' lifetime records. */
 class PacketLifetimeTracker
 {
   public:
     /** @param sink Optional Chrome-trace sink for per-hop slices. */
     explicit PacketLifetimeTracker(TraceEventSink *sink = nullptr);
 
-    /** Packet accepted by a source NI (or synthesized by a big router). */
-    void onPacketQueued(const Packet &pkt, Cycle now);
+    /**
+     * Packet accepted by a source NI (or synthesized by a big router):
+     * open its record and point pkt.lifetime at it.
+     */
+    void onPacketQueued(Packet &pkt, Cycle now);
 
-    /** Head flit left the source queue onto the fabric. */
-    void onNetworkEntry(PacketId id, Cycle now);
-
-    /** Head flit buffered at a router's input unit. */
-    void onRouterArrive(NodeId router, PacketId id, Cycle now);
-
-    /** Router granted the packet an output virtual channel. */
-    void onVaGrant(NodeId router, PacketId id, Cycle now);
-
-    /** Head flit traversed the router's crossbar (ST stage). */
-    void onRouterDepart(NodeId router, PacketId id, Cycle now);
-
-    /** Tail flit reassembled at the destination NI. */
-    void onPacketEjected(const Packet &pkt, Cycle now);
-
-    /** Replay one deferred router-side op (see PacketTelOp). */
-    void apply(const PacketTelOp &op);
+    /** Tail flit reassembled at the destination NI: retire the record. */
+    void onPacketEjected(Packet &pkt, Cycle now);
 
     /** Aggregated latency statistics over completed packets. */
     const StatGroup &statGroup() const { return stats; }
@@ -88,32 +103,18 @@ class PacketLifetimeTracker
 
     /**
      * In-flight transaction waterfall for the hang report: every live
-     * packet with its per-router hop stamps, sorted by packet id so
-     * the output is deterministic regardless of hash-map order.
+     * packet with its per-router hop stamps, in packet-id order.
      */
     JsonValue inFlightJson(Cycle now) const;
 
   private:
-    struct Hop {
-        NodeId router;
-        Cycle arrive;
-        Cycle vaGrant;
-        Cycle depart;
-    };
-
-    struct Record {
-        NodeId src;
-        NodeId dst;
-        VnetId vnet;
-        Cycle queued;
-        Cycle entered;
-        std::vector<Hop> hops;
-    };
-
-    Record *find(PacketId id);
-
     TraceEventSink *sink;
-    std::unordered_map<PacketId, Record> live;
+    /**
+     * Open records by packet id. Ordered for the hang report; map
+     * nodes never move, so Packet::lifetime stays valid while other
+     * records come and go.
+     */
+    std::map<PacketId, PacketLifetime> live;
     StatGroup stats{"packets"};
 };
 

@@ -1,5 +1,7 @@
 #include "telemetry/telemetry.hh"
 
+#include "common/logging.hh"
+
 namespace inpg {
 
 void
@@ -39,8 +41,11 @@ TelemetryConfig::applySpec(const std::string &spec)
             traceEvents = true;
         } else if (tok == "kernel") {
             kernel = true;
+        } else if (!tok.empty()) {
+            fatal("unknown telemetry token '%s' in '%s' (lco|packets|"
+                  "trace|kernel|recorder|timeseries|watchdog|all|off)",
+                  tok.c_str(), spec.c_str());
         }
-        // Unknown tokens (and empty segments) are ignored.
     }
 }
 

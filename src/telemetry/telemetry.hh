@@ -70,8 +70,8 @@ struct TelemetryConfig {
      * `timeseries`/`watchdog` use default epoch/window when none was
      * configured. `all` enables every pure observer but NOT the
      * watchdog: tripping terminates the run, so it stays opt-in.
-     * Unknown tokens are ignored so config strings stay forward
-     * compatible. Also the INPG_TELEMETRY env-var format.
+     * Empty segments are skipped; an unknown token is a config error
+     * (FatalError). Also the INPG_TELEMETRY env-var format.
      */
     void applySpec(const std::string &spec);
 };
@@ -130,6 +130,13 @@ class Telemetry
     std::unique_ptr<TimeseriesSampler> timeseriesOwned;
     std::unique_ptr<ProgressWatchdog> watchdogOwned;
 };
+
+/** LCO tracker behind a facade, or null when telemetry or lco is off. */
+inline LcoTracker *
+lcoOf(const Telemetry *t)
+{
+    return t ? t->lco : nullptr;
+}
 
 } // namespace inpg
 

@@ -187,7 +187,12 @@ TEST(Telemetry, ConfigSpecParsing)
     EXPECT_TRUE(tc.packets && tc.kernel);
     tc.applySpec("off");
     EXPECT_FALSE(tc.any());
-    tc.applySpec("kernel,unknown-token");
+    // A misspelt token is a config error, not a silent no-op; empty
+    // segments stay allowed.
+    EXPECT_THROW(tc.applySpec("kernel,unknown-token"), FatalError);
+    EXPECT_THROW(tc.applySpec("packet"), FatalError);
+    tc = TelemetryConfig{};
+    tc.applySpec(",kernel,,");
     EXPECT_TRUE(tc.kernel);
     EXPECT_FALSE(tc.lco);
 }
