@@ -9,8 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "coh/coherent_system.hh"
@@ -68,17 +68,20 @@ BM_CoherentSystemTick(benchmark::State &state)
     noc.meshWidth = 8;
     noc.meshHeight = 8;
     CohConfig coh;
+    // Declared before the system so it outlives every pending callback
+    // that refers to it.
+    std::array<std::function<void()>, 8> loops;
     Simulator sim;
     CoherentSystem sys(noc, coh, sim);
     // Sustained load/stores from 8 cores.
     for (CoreId c = 0; c < 8; ++c) {
-        auto loop = std::make_shared<std::function<void()>>();
+        std::function<void()> &loop = loops[static_cast<std::size_t>(c)];
         Addr a = coh.lineHomedAt(c * 7 % 64);
-        *loop = [&sys, a, c, loop] {
+        loop = [&sys, a, c, &loop] {
             sys.l1(c).issueStore(a, 1, false,
-                                 [loop](std::uint64_t) { (*loop)(); });
+                                 [&loop](std::uint64_t) { loop(); });
         };
-        (*loop)();
+        loop();
     }
     for (auto _ : state)
         sim.step();

@@ -18,7 +18,9 @@
 # --tsan:     configure + build under ThreadSanitizer in build-tsan/
 #             and run the threaded suites (parallel simulation
 #             kernel, sweep-runner pool, determinism harness).
-repo_root=$(dirname "$0")
+# Absolute, so paths derived from it (the ledger) survive the `cd`
+# into a build tree below.
+repo_root=$(cd "$(dirname "$0")" && pwd)
 # Provenance for ledger records: every RunRecord is stamped with this
 # SHA (plus a dirty flag) so results stay attributable to a commit. A
 # pre-set INPG_GIT_SHA that disagrees with the checkout is a

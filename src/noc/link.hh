@@ -141,12 +141,18 @@ class Channel
   public:
     explicit Channel(Cycle link_latency = 1, Cycle credit_latency = 1)
         : flits(link_latency + 1), credits(credit_latency)
-    {}
+    {
+        INPG_ASSERT(link_latency + 1 < ActiveSet::WAKE_RING,
+                    "flit delay %llu does not fit the %llu-cycle wake "
+                    "calendar",
+                    static_cast<unsigned long long>(link_latency + 1),
+                    static_cast<unsigned long long>(ActiveSet::WAKE_RING));
+    }
 
     /**
      * Register the component that drains each pipe. Senders must inject
-     * through pushFlit()/pushCredit() so a sleeping consumer is pulled
-     * back into the simulator's active set when traffic arrives.
+     * through pushFlit()/pushCredit(): a flit push wakes a sleeping
+     * flit sink for the cycle the flit becomes deliverable.
      */
     void setFlitSink(Ticking *sink) { flitSink = sink; }
     void setCreditSink(Ticking *sink) { creditSink = sink; }
@@ -162,7 +168,10 @@ class Channel
      */
     void setOutbox(ChannelOutbox *box) { outbox = box; }
 
-    /** Inject a flit and wake the downstream consumer. */
+    /**
+     * Inject a flit and wake the downstream consumer for its delivery
+     * cycle; the consumer may sleep until then.
+     */
     void
     pushFlit(FlitPtr flit, Cycle now)
     {
@@ -172,10 +181,14 @@ class Channel
         }
         flits.push(std::move(flit), now);
         if (flitSink)
-            flitSink->sleepToken().wake();
+            flitSink->sleepToken().wakeAt(now + flits.linkLatency());
     }
 
-    /** Inject a credit and wake the upstream consumer. */
+    /**
+     * Latch a credit. It wakes nobody: the upstream consumer reads
+     * credits only while awake and drains every ready one at the
+     * start of each tick (see Ticking's activity contract).
+     */
     void
     pushCredit(Credit credit, Cycle now)
     {
@@ -184,8 +197,6 @@ class Channel
             return;
         }
         credits.push(credit, now);
-        if (creditSink)
-            creditSink->sleepToken().wake();
     }
 
     DelayLine<FlitPtr> flits;

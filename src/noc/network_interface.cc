@@ -78,11 +78,12 @@ NetworkInterface::tick(Cycle now)
     ejectFlits(now);
     allocateInjectVcs(now);
     injectOneFlit(now);
-    // Empty queues AND empty channels (items latched for future cycles
-    // would not re-wake us): every tick is a no-op until the next
-    // sendPacket() or Channel push.
-    if (idle() && (!txChannel || txChannel->credits.empty()) &&
-        (!rxChannel || rxChannel->flits.empty()))
+    // Nothing queued, serializing or reassembling: every tick is a
+    // no-op until the next sendPacket() or until an inbound flit is
+    // deliverable (its push wakes us for that cycle). Returned credits
+    // wait in the channel; injection reads them only after a wake, and
+    // drainCredits() takes them all in first.
+    if (idle())
         suspendSelf();
 }
 

@@ -185,37 +185,25 @@ Router::tick(Cycle now)
     // (BigRouter); skip the virtual hook on plain routers.
     if (genPort >= 0)
         generatorPhase(now);
-    // Idle fast path: with no buffered flit anywhere, the allocation
-    // stages have no work. The whole-router occupancy counter makes the
-    // check one load.
-    if (vcs.totalOccupancy() == 0) {
-        // No buffered flit means VA/SA (and their rotation/aging state)
-        // would not change this cycle; if nothing is in flight toward us
-        // either, every tick until the next Channel push is a no-op.
-        if (canSleep())
-            suspendSelf();
-        return;
+    // With no buffered flit anywhere the allocation stages have no work
+    // (and leave their rotation/aging state alone); the whole-router
+    // occupancy counter makes the check one load.
+    if (vcs.totalOccupancy() != 0) {
+        allocateVcs(now);
+        allocateSwitch(now);
     }
-    allocateVcs(now);
-    allocateSwitch(now);
+    // Checked after allocation so the router leaves the active set in
+    // the cycle its last flit departs. Until the next flit is
+    // deliverable (its push wakes us for that cycle) every tick would
+    // only take in credits, which the next awake tick drains anyway.
+    if (vcs.totalOccupancy() == 0 && canSleep())
+        suspendSelf();
 }
 
 bool
 Router::canSleep() const
 {
-    if (genPort >= 0 && (!genQueue.empty() || !generatorIdle()))
-        return false;
-    // Channels must be completely empty, not merely not-ready: an item
-    // already latched for a future cycle will not trigger a wake.
-    for (const ConnectedIn &cp : flitSources) {
-        if (!cp.channel->flits.empty())
-            return false;
-    }
-    for (const ConnectedOut &cp : creditSources) {
-        if (!cp.channel->credits.empty())
-            return false;
-    }
-    return true;
+    return genPort < 0 || (genQueue.empty() && generatorIdle());
 }
 
 void

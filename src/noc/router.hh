@@ -156,6 +156,10 @@ class Router : public Ticking
   private:
     void drainCredits(Cycle now);
     void drainFlits(Cycle now);
+    /**
+     * With no flit buffered: true when only a newly deliverable flit
+     * (which wakes us) can give the router work. Reads no channel.
+     */
     bool canSleep() const;
     /**
      * Bitmask-driven allocation stages: VA (with route computation for

@@ -24,8 +24,11 @@
 
 namespace inpg {
 
-/** Router port directions. Local attaches the tile's NI. */
-enum class Direction : int {
+/**
+ * Router port directions. Local attaches the tile's NI. One byte, so a
+ * RouteEntry is two; cast to int before printing.
+ */
+enum class Direction : std::uint8_t {
     Local = 0,
     North = 1,
     East = 2,
@@ -57,6 +60,9 @@ struct RouteEntry {
         return dir == o.dir && vcClass == o.vcClass;
     }
 };
+
+static_assert(sizeof(RouteEntry) == 2,
+              "route tables hold one two-byte entry per destination");
 
 /** Short name ("L","N","E","S","W"). */
 std::string directionName(Direction d);

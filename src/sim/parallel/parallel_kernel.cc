@@ -93,9 +93,6 @@ ParallelKernel::ParallelKernel(Simulator &sim_, Network &net_,
             continue;
         adopt(&net.router(id), dom);
     }
-    for (Domain &d : domains)
-        rebindDomainTokens(d);
-
     classifyBoundaries(net, domainByNode);
 
     sim.attachParallel(this);
@@ -115,40 +112,23 @@ void
 ParallelKernel::adopt(Ticking *comp, int domain)
 {
     SleepToken &tok = comp->sleepToken();
-    INPG_ASSERT(tok.bound(),
-                "stealing a component that never registered");
-    // The token is still bound to its serial slot's bit.
-    const std::size_t slot =
-        static_cast<std::size_t>(tok.word - sim.activeBits.data()) * 64 +
-        static_cast<std::size_t>(std::countr_zero(tok.bit));
+    INPG_ASSERT(tok.set == &sim.active,
+                "stealing a component not registered with this simulator");
+    const std::size_t slot = tok.slot();
     INPG_ASSERT(slot < sim.slots.size() &&
                     sim.slots[slot].component == comp,
                 "stolen component not registered with this simulator");
-    const bool wasActive = (*tok.word & tok.bit) != 0;
-    tok.suspend(); // drop out of the serial sweep
+    // The domain ring starts empty; a wake left in the serial ring
+    // would fire into a slot the serial sweep no longer owns.
+    INPG_ASSERT(!sim.active.wakePending(slot),
+                "stealing %s with a timed wake pending",
+                comp->tickName().c_str());
     Domain &d = domains[static_cast<std::size_t>(domain - 1)];
-    const std::size_t idx = d.comps.size();
+    const std::size_t idx = d.set.addSlot(false);
     d.comps.push_back(comp);
-    if ((idx >> 6) >= d.bits.size())
-        d.bits.push_back(0);
-    if (wasActive) {
-        d.bits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        ++d.activeCount;
-    }
-    stolen.push_back(StolenSlot{comp, slot, domain});
-}
-
-void
-ParallelKernel::rebindDomainTokens(Domain &d)
-{
-    // Deferred until the domain stops growing: d.bits reallocation
-    // would dangle any pointer bound mid-adoption.
-    for (std::size_t i = 0; i < d.comps.size(); ++i) {
-        SleepToken &tok = d.comps[i]->sleepToken();
-        tok.word = &d.bits[i >> 6];
-        tok.bit = std::uint64_t{1} << (i & 63);
-        tok.count = &d.activeCount;
-    }
+    ActiveSet::moveSlot(sim.active, slot, d.set, idx);
+    tok.bind(&d.set, idx);
+    stolen.push_back(StolenSlot{comp, slot});
 }
 
 void
@@ -218,8 +198,18 @@ ParallelKernel::fabricActive() const
     // parked (ordered by the per-domain arrival gates).
     std::size_t n = 0;
     for (const Domain &d : domains)
-        n += d.activeCount;
+        n += d.set.activeCount();
     return n;
+}
+
+bool
+ParallelKernel::fabricQuiescent() const
+{
+    // Same between-quanta rule as fabricActive().
+    for (const Domain &d : domains)
+        if (!d.set.quiescent())
+            return false;
+    return true;
 }
 
 void
@@ -249,16 +239,18 @@ ParallelKernel::workerLoop(std::size_t d)
 std::uint64_t
 ParallelKernel::sweepDomain(Domain &d, Cycle base, Cycle quantum)
 {
-    // Same cursor-mask sweep as the serial kernel: live word re-read
-    // so a forward wake inside the domain runs this same cycle,
-    // retired bits wait for the next cycle.
+    // Same cycle as the serial kernel: apply the domain ring's wakes
+    // for the cycle, then the cursor-mask sweep (live word re-read so
+    // a forward wake inside the domain runs this same cycle, retired
+    // bits wait for the next cycle).
     std::uint64_t ticks = 0;
     for (Cycle c = 0; c < quantum; ++c) {
         const Cycle now = base + c;
-        for (std::size_t w = 0; w < d.bits.size(); ++w) {
+        d.set.applyWakes(now);
+        for (std::size_t w = 0; w < d.set.numWords(); ++w) {
             std::uint64_t eligible = ~std::uint64_t{0};
             std::uint64_t m;
-            while ((m = d.bits[w] & eligible) != 0) {
+            while ((m = d.set.word(w) & eligible) != 0) {
                 const std::size_t b =
                     static_cast<std::size_t>(std::countr_zero(m));
                 eligible &= ~std::uint64_t{0} << 1 << b;
@@ -283,9 +275,10 @@ ParallelKernel::step(Cycle quantum)
         q = 1;
     q = std::clamp<Cycle>(q, 1, lookaheadCycles);
 
-    // Elide the barrier round-trip while every fabric domain sleeps;
-    // the coordinator's own merge below can wake them back up.
-    const bool fabricBusy = fabricActive() != 0;
+    // Elide the barrier round-trip while every fabric domain is
+    // quiescent (nothing active, no timed wake pending); the
+    // coordinator's own merge below can wake them back up.
+    const bool fabricBusy = !fabricQuiescent();
     prof->onQuantum(q, fabricBusy);
     if (fabricBusy) {
         ++seq;
@@ -295,6 +288,7 @@ ParallelKernel::step(Cycle quantum)
     }
     const std::uint64_t tSweep = ParallelProfile::nowNs();
     for (Cycle i = 0;;) {
+        sim.active.applyWakes(sim.currentCycle);
         sim.runEventPhase();
         sim.sweepActive();
         if (++i >= q)
@@ -381,18 +375,13 @@ ParallelKernel::shutdown()
         b.channel->setOutbox(nullptr);
 
     // Hand every stolen component back to the serial kernel with its
-    // activity preserved; subsequent serial stepping is bit-identical
-    // to a kernel that was never sharded.
+    // activity and any pending timed wake (a flit still in flight
+    // toward it); subsequent serial stepping is bit-identical to a
+    // kernel that was never sharded.
     for (const StolenSlot &s : stolen) {
         SleepToken &tok = s.comp->sleepToken();
-        const bool active = (*tok.word & tok.bit) != 0;
-        if (active)
-            tok.suspend();
-        tok.word = &sim.activeBits[s.mainSlot >> 6];
-        tok.bit = std::uint64_t{1} << (s.mainSlot & 63);
-        tok.count = &sim.activeCount;
-        if (active)
-            tok.wake();
+        ActiveSet::moveSlot(*tok.set, tok.slot(), sim.active, s.mainSlot);
+        tok.bind(&sim.active, s.mainSlot);
     }
     stolen.clear();
     sim.attachParallel(nullptr);

@@ -32,14 +32,23 @@
  * executed cycle, so their presence clamps the quantum to one cycle.
  *
  * Determinism: at every quantum boundary the simulated state --
- * channel contents, active sets, telemetry -- is identical to the
- * serial kernel's state at that cycle. The only elided difference is
- * that a component woken mid-cycle by a cross-domain push wakes at the
- * merge instead; the skipped ticks are provably behavioral no-ops
- * (router and NI ticks early-out without mutating arbiter state when
- * nothing is buffered), and the post-merge active set matches the
- * serial one bit for bit. tests/test_parallel_kernel.cc holds the
- * fingerprint, stats-JSON, and hang-report equivalence suites.
+ * channel contents, active sets, wake calendars, telemetry -- is
+ * identical to the serial kernel's state at that cycle. Each domain
+ * has its own ActiveSet, whose wake calendar (the domain ring) it
+ * applies at the start of every cycle of its sweep. A flit push wakes
+ * its consumer for the delivery cycle, push + linkLatency + 1, which
+ * is never inside the current quantum (the lookahead bound), so the
+ * merge's re-push sets the wake in the consumer's ring -- a domain
+ * ring or the serial one -- before that ring reaches the cycle; credits
+ * wake nobody. The coordinator writes domain rings only during the
+ * merge, while every worker is parked. Fabric routers are woken by
+ * timed wakes alone, so no tick is skipped or added against the serial
+ * kernel. The barrier is elided only while every domain is quiescent:
+ * nothing active and no timed wake pending (a flit in flight toward a
+ * sleeping fabric router keeps its domain live). shutdown() moves every
+ * pending domain wake back into the serial ring.
+ * tests/test_parallel_kernel.cc holds the fingerprint, stats-JSON, and
+ * hang-report equivalence suites.
  */
 
 #ifndef INPG_SIM_PARALLEL_PARALLEL_KERNEL_HH
@@ -55,6 +64,7 @@
 #include "noc/link.hh"
 #include "sim/parallel/parallel_profile.hh"
 #include "sim/parallel/spin_barrier.hh"
+#include "sim/ticking.hh"
 
 namespace inpg {
 
@@ -86,10 +96,10 @@ class ParallelKernel
 
     /**
      * Join the workers and hand every stolen component back to the
-     * serial kernel (bits, counts and sleep tokens restored), leaving
-     * the simulator in a state bit-identical to a serial kernel that
-     * executed the same cycles. Idempotent; runs automatically at
-     * destruction.
+     * serial kernel (active bits, pending timed wakes and sleep tokens
+     * restored), leaving the simulator in a state bit-identical to a
+     * serial kernel that executed the same cycles. Idempotent; runs
+     * automatically at destruction.
      */
     void shutdown();
 
@@ -109,6 +119,12 @@ class ParallelKernel
     /** Stolen components currently awake across all fabric domains. */
     std::size_t fabricActive() const;
 
+    /**
+     * True when no fabric domain has an active component or a timed
+     * wake pending in its ring (the barrier-elision test).
+     */
+    bool fabricQuiescent() const;
+
     /** Channels whose endpoints live in different domains. */
     std::size_t boundaryChannels() const { return boundaries.size(); }
 
@@ -126,8 +142,8 @@ class ParallelKernel
     /** One worker thread's tile: components, active set, arrival gate. */
     struct Domain {
         std::vector<Ticking *> comps;
-        std::vector<std::uint64_t> bits;
-        std::size_t activeCount = 0;
+        /** Bit i = comps[i]; its wake calendar is the domain ring. */
+        ActiveSet set;
         /** Outboxes this domain pushed into during the quantum. */
         std::vector<ChannelOutbox *> dirty;
         QuantumGate done;
@@ -143,11 +159,9 @@ class ParallelKernel
     struct StolenSlot {
         Ticking *comp = nullptr;
         std::size_t mainSlot = 0;
-        int domain = 0;
     };
 
     void adopt(Ticking *comp, int domain);
-    void rebindDomainTokens(Domain &d);
     void classifyBoundaries(Network &net,
                             const std::vector<int> &domainByNode);
     void workerLoop(std::size_t d);

@@ -65,7 +65,8 @@ class ParallelProfile
     /**
      * Coordinator is about to step a quantum of `len` cycles;
      * `barrier` is false when the release/await round-trip was elided
-     * because every fabric domain was asleep.
+     * because every fabric domain was quiescent (nothing active, no
+     * timed wake pending).
      */
     void onQuantum(Cycle len, bool barrier);
 

@@ -35,7 +35,6 @@ Simulator::addTicking(Ticking *component)
     INPG_ASSERT(!component->token.bound(),
                 "component %s registered twice",
                 component->tickName().c_str());
-    component->token.count = &activeCount;
     const std::string name = component->tickName();
     PhaseClass phase = PhaseClass::Other;
     if (name.rfind("router", 0) == 0)
@@ -44,21 +43,10 @@ Simulator::addTicking(Ticking *component)
         phase = PhaseClass::Ni;
     else if (name.rfind("dir", 0) == 0)
         phase = PhaseClass::Dir;
-    const std::size_t idx = slots.size();
     slots.push_back(Slot{component, phase});
-    if ((idx >> 6) >= activeBits.size())
-        activeBits.push_back(0);
-    activeBits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    ++activeCount;
-    // Growing the bitmap may have moved its words; re-bind all tokens
-    // so their word pointers track the new storage. Registration is
-    // setup-time only, so the quadratic re-bind is irrelevant next to
-    // the per-wake virtual call this layout replaces.
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        SleepToken &t = slots[i].component->token;
-        t.word = &activeBits[i >> 6];
-        t.bit = std::uint64_t{1} << (i & 63);
-    }
+    // Tokens name the set and a slot index, so growing the bitmap
+    // never invalidates an earlier binding: registration is O(1).
+    component->token.bind(&active, active.addSlot(true));
 }
 
 void
@@ -83,7 +71,14 @@ Simulator::attachParallel(ParallelKernel *k)
 std::size_t
 Simulator::totalActive() const
 {
-    return activeCount + (parKernel ? parKernel->fabricActive() : 0);
+    return active.activeCount() +
+           (parKernel ? parKernel->fabricActive() : 0);
+}
+
+bool
+Simulator::quiescent() const
+{
+    return active.quiescent() && (!parKernel || parKernel->fabricQuiescent());
 }
 
 void
@@ -111,10 +106,10 @@ Simulator::sweepActive()
     // cycle just as the flag loop's already-passed indices did.
     // Components only ever suspend themselves, so a bit the cursor has
     // not reached can vanish only with its tick already unnecessary.
-    for (std::size_t w = 0; w < activeBits.size(); ++w) {
+    for (std::size_t w = 0; w < active.numWords(); ++w) {
         std::uint64_t eligible = ~std::uint64_t{0};
         std::uint64_t m;
-        while ((m = activeBits[w] & eligible) != 0) {
+        while ((m = active.word(w) & eligible) != 0) {
             const std::size_t b =
                 static_cast<std::size_t>(std::countr_zero(m));
             eligible &= ~std::uint64_t{0} << 1 << b;
@@ -134,6 +129,7 @@ Simulator::step()
         parKernel->step(1);
         return;
     }
+    active.applyWakes(currentCycle);
     runEventPhase();
     sweepActive();
     // Diagnosis observers see executed cycles only; null when off, so
@@ -152,13 +148,14 @@ Simulator::stepProfiled()
     // around the event phase and each component tick. The two extra
     // clock reads per tick distort absolute times slightly; the
     // events-vs-subsystem *split* is what perfbench reports.
+    active.applyWakes(currentCycle);
     auto t0 = std::chrono::steady_clock::now(); // lint:allow(nondeterminism)
     eventQueue.runDue(currentCycle);
     profile->eventsSec += secondsSince(t0);
-    for (std::size_t w = 0; w < activeBits.size(); ++w) {
+    for (std::size_t w = 0; w < active.numWords(); ++w) {
         std::uint64_t eligible = ~std::uint64_t{0};
         std::uint64_t m;
-        while ((m = activeBits[w] & eligible) != 0) {
+        while ((m = active.word(w) & eligible) != 0) {
             const std::size_t b =
                 static_cast<std::size_t>(std::countr_zero(m));
             eligible &= ~std::uint64_t{0} << 1 << b;
@@ -195,7 +192,7 @@ Simulator::run(Cycle n)
 {
     const Cycle limit = currentCycle + n;
     while (currentCycle < limit) {
-        if (ffEnabled && totalActive() == 0) {
+        if (ffEnabled && quiescent()) {
             const Cycle target = std::min(limit, idleHorizon());
             if (target > currentCycle) {
                 if (kernelProf)
@@ -227,15 +224,15 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles,
     while (currentCycle < limit) {
         if (done())
             return true;
-        if (ffEnabled && totalActive() == 0) {
+        if (ffEnabled && quiescent()) {
             if (wdog && mode == PredicateMode::StateChange &&
                 eventQueue.empty()) {
-                // Every component is asleep and the event horizon is
-                // empty, so no simulated state can ever change again;
-                // a StateChange predicate that has not fired never
-                // will. This is a structural deadlock, not a long
-                // sleep -- trip immediately rather than fast-forward
-                // to the timeout.
+                // Every component is asleep, no timed wake is pending
+                // and the event horizon is empty, so no simulated
+                // state can ever change again; a StateChange predicate
+                // that has not fired never will. This is a structural
+                // deadlock, not a long sleep -- trip immediately rather
+                // than fast-forward to the timeout.
                 wdog->tripDeadlock(currentCycle);
             }
             const Cycle target = std::min(limit, idleHorizon());

@@ -3,16 +3,19 @@
  * The cycle-driven simulation kernel.
  *
  * One Simulator instance owns the global clock, the event queue, and the
- * list of clocked components. Each cycle it (1) fires due events and
- * (2) ticks every *active* registered component in registration order.
+ * list of clocked components. Each cycle it (1) applies the timed wakes
+ * due that cycle, (2) fires due events and (3) ticks every *active*
+ * registered component in registration order.
  * Components communicate only through latched structures, so the tick
  * order within a cycle is not observable; runs are fully deterministic.
  *
  * Activity-driven operation: components may suspend themselves via their
- * SleepToken once provably idle (see Ticking). When the active set is
- * empty, nothing can change simulated state until the next event-queue
- * firing, so run()/runUntil() fast-forward the clock across the gap
- * instead of spinning through empty cycles. Fast-forward is
+ * SleepToken once provably idle (see Ticking), and channel pushes wake
+ * their consumer for the cycle the item becomes deliverable (the wake
+ * calendar in ActiveSet). When the active set is empty and no timed
+ * wake is pending, nothing can change simulated state until the next
+ * event-queue firing, so run()/runUntil() fast-forward the clock across
+ * the gap instead of spinning through empty cycles. Fast-forward is
  * cycle-accurate: the visited state trajectory is bit-identical to
  * naive per-cycle ticking (only the no-op cycles are elided).
  */
@@ -185,8 +188,17 @@ class Simulator
     /** Sweep the serial active bitmap once at the current cycle. */
     void sweepActive();
 
-    /** Active components including fabric domains (fast-forward gate). */
+    /** Active components including fabric domains. */
     std::size_t totalActive() const;
+
+    /**
+     * The one quiescence test (fast-forward, deadlock trip): no
+     * component active and no timed wake pending, in the serial set
+     * or any fabric domain. A flit in flight toward a sleeping
+     * consumer is a pending wake, so the clock never skips its
+     * delivery.
+     */
+    bool quiescent() const;
 
     /**
      * Cycle at which the next stimulus can occur once the active set is
@@ -199,13 +211,13 @@ class Simulator
     std::vector<Slot> slots;
 
     /**
-     * Packed active set, bit i = slot i. The per-cycle loop sweeps set
-     * bits (ascending index keeps registration-order ticking) instead
-     * of testing a flag per registered component; SleepTokens point at
-     * their word so wake/suspend are single bit operations.
+     * Packed active set (bit i = slot i) and its wake calendar. The
+     * per-cycle loop sweeps set bits (ascending index keeps
+     * registration-order ticking) instead of testing a flag per
+     * registered component; SleepTokens name their word and bit, so
+     * wake/suspend are single bit operations.
      */
-    std::vector<std::uint64_t> activeBits;
-    std::size_t activeCount = 0;
+    ActiveSet active;
 
     bool ffEnabled = true;
     std::uint64_t ffCycles = 0;

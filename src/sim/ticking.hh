@@ -7,61 +7,259 @@
 #ifndef INPG_SIM_TICKING_HH
 #define INPG_SIM_TICKING_HH
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 
 namespace inpg {
 
 /**
- * Handle a registered component uses to enter and leave the simulator's
- * active set. Unbound tokens (component never registered, e.g. unit
- * tests ticking by hand) make both operations no-ops.
+ * A packed active set (bit i = slot i) plus its wake calendar.
  *
- * The token points straight at the component's bit in the scheduler's
- * packed active bitmap (plus the active-set counter), so wake/suspend
- * are a load, a mask and a store on the hot path (Channel pushes wake
- * consumers millions of times per run). The Simulator re-binds every
- * token's word pointer whenever its slot table grows, so the pointers
- * never dangle.
+ * The calendar is a ring of WAKE_RING bitmaps, one bucket per cycle,
+ * indexed by cycle mod WAKE_RING. A timed wake sets the slot's bit in
+ * its cycle's bucket; the kernel ORs the bucket into the active set at
+ * the start of that cycle, before the sweep. Each bucket keeps a list
+ * of the words it dirtied, so applying a bucket touches only those
+ * words. The serial kernel owns one set and every fabric domain of the
+ * parallel kernel owns another.
+ */
+class ActiveSet
+{
+  public:
+    /**
+     * Calendar length in cycles: a power of two larger than every
+     * timed-wake distance (Channel asserts its flit delay fits).
+     */
+    static constexpr Cycle WAKE_RING = 8;
+
+    /** Append a slot, active or not; returns its index. */
+    std::size_t
+    addSlot(bool active)
+    {
+        const std::size_t idx = slots++;
+        if ((idx >> 6) >= bits.size()) {
+            bits.push_back(0);
+            for (std::size_t b = 0; b < WAKE_RING; ++b) {
+                ring[b].push_back(0);
+                dirty[b].reserve(bits.size());
+            }
+        }
+        if (active)
+            activate(idx >> 6, bitOf(idx));
+        return idx;
+    }
+
+    /** Set a bit in the active bitmap (idempotent). */
+    void
+    activate(std::size_t word, std::uint64_t bit)
+    {
+        if (!(bits[word] & bit)) {
+            bits[word] |= bit;
+            ++count;
+        }
+    }
+
+    /** Clear a bit in the active bitmap (idempotent). */
+    void
+    deactivate(std::size_t word, std::uint64_t bit)
+    {
+        if (bits[word] & bit) {
+            bits[word] &= ~bit;
+            --count;
+        }
+    }
+
+    /** Set a bit in the bucket of cycle `when`. */
+    void
+    activateAt(Cycle when, std::size_t word, std::uint64_t bit)
+    {
+        const std::size_t b = static_cast<std::size_t>(when & (WAKE_RING - 1));
+        std::uint64_t &w = ring[b][word];
+        if (!w) {
+            dirty[b].push_back(static_cast<std::uint32_t>(word));
+            ++pendingWords;
+        }
+        w |= bit;
+    }
+
+    /** OR the wakes timed for cycle `now` into the active bitmap. */
+    void
+    applyWakes(Cycle now)
+    {
+        const std::size_t b = static_cast<std::size_t>(now & (WAKE_RING - 1));
+        std::vector<std::uint32_t> &words = dirty[b];
+        if (words.empty())
+            return;
+        for (std::uint32_t w : words) {
+            std::uint64_t &pending = ring[b][w];
+            count += static_cast<std::size_t>(
+                std::popcount(pending & ~bits[w]));
+            bits[w] |= pending;
+            pending = 0;
+        }
+        pendingWords -= words.size();
+        words.clear();
+    }
+
+    /** Active slots. */
+    std::size_t activeCount() const { return count; }
+
+    /** True when nothing is active and no timed wake is pending. */
+    bool quiescent() const { return count == 0 && pendingWords == 0; }
+
+    std::size_t numWords() const { return bits.size(); }
+
+    /** Live bitmap word (the sweeps re-read it before every pick). */
+    std::uint64_t word(std::size_t w) const { return bits[w]; }
+
+    bool
+    isActive(std::size_t idx) const
+    {
+        return (bits[idx >> 6] & bitOf(idx)) != 0;
+    }
+
+    /** True when a timed wake for `idx` sits in any bucket. */
+    bool
+    wakePending(std::size_t idx) const
+    {
+        for (std::size_t b = 0; b < WAKE_RING; ++b)
+            if (ring[b][idx >> 6] & bitOf(idx))
+                return true;
+        return false;
+    }
+
+    /**
+     * Move slot `from_idx` of `from` into slot `to_idx` of `to`: its
+     * active bit and every pending timed wake (bucket for bucket, so
+     * each wake keeps its cycle). Both sets must step the same cycles.
+     */
+    static void
+    moveSlot(ActiveSet &from, std::size_t from_idx, ActiveSet &to,
+             std::size_t to_idx)
+    {
+        const std::size_t fw = from_idx >> 6, tw = to_idx >> 6;
+        const std::uint64_t fb = bitOf(from_idx), tb = bitOf(to_idx);
+        if (from.bits[fw] & fb) {
+            from.deactivate(fw, fb);
+            to.activate(tw, tb);
+        }
+        for (std::size_t b = 0; b < WAKE_RING; ++b) {
+            std::uint64_t &w = from.ring[b][fw];
+            if (!(w & fb))
+                continue;
+            w &= ~fb;
+            if (!w) {
+                // Unlist the emptied word so applying the bucket
+                // never visits a word it no longer owns.
+                std::vector<std::uint32_t> &list = from.dirty[b];
+                for (std::size_t i = 0; i < list.size(); ++i) {
+                    if (list[i] == fw) {
+                        list[i] = list.back();
+                        list.pop_back();
+                        break;
+                    }
+                }
+                --from.pendingWords;
+            }
+            to.activateAt(static_cast<Cycle>(b), tw, tb);
+        }
+    }
+
+    static std::uint64_t
+    bitOf(std::size_t idx)
+    {
+        return std::uint64_t{1} << (idx & 63);
+    }
+
+  private:
+    std::size_t slots = 0;
+    std::vector<std::uint64_t> bits;
+    std::size_t count = 0;
+    std::array<std::vector<std::uint64_t>, WAKE_RING> ring;
+    /** Per bucket: the words it has nonzero, each listed once. */
+    std::array<std::vector<std::uint32_t>, WAKE_RING> dirty;
+    /** Listed (bucket, word) pairs across the calendar. */
+    std::size_t pendingWords = 0;
+};
+
+/**
+ * Handle a registered component uses to enter and leave an active
+ * set. Unbound tokens (component never registered, e.g. unit tests
+ * ticking by hand) make every operation a no-op.
+ *
+ * The token names its set and its slot's word and bit, so wake and
+ * suspend are a bit test and a store, and a set that grows (its
+ * vectors reallocate) needs no re-bind.
  */
 class SleepToken
 {
   public:
     SleepToken() = default;
 
-    /** Re-enter the active set (idempotent). */
+    /** Re-enter the active set now (idempotent). */
     void
     wake()
     {
-        if (word && !(*word & bit)) {
-            *word |= bit;
-            ++*count;
-        }
+        if (set)
+            set->activate(word, bit);
+    }
+
+    /**
+     * Re-enter the active set at the start of cycle `when`, before
+     * that cycle's sweep. `when` must lie after the current cycle and
+     * less than ActiveSet::WAKE_RING cycles ahead of it.
+     */
+    void
+    wakeAt(Cycle when)
+    {
+        if (set)
+            set->activateAt(when, word, bit);
     }
 
     /** Leave the active set (idempotent). */
     void
     suspend()
     {
-        if (word && (*word & bit)) {
-            *word &= ~bit;
-            --*count;
-        }
+        if (set)
+            set->deactivate(word, bit);
     }
 
-    bool bound() const { return word != nullptr; }
+    bool bound() const { return set != nullptr; }
+
+    /** In the active set now (diagnostics and tests). */
+    bool active() const { return set && set->isActive(slot()); }
+
+    /** A timed wake is pending in the set's calendar. */
+    bool wakePending() const { return set && set->wakePending(slot()); }
 
   private:
     friend class Simulator;
-    /** Re-binds tokens into per-domain bitmaps (sim/parallel). */
+    /** Moves tokens between per-domain sets (sim/parallel). */
     friend class ParallelKernel;
 
-    std::uint64_t *word = nullptr;
+    void
+    bind(ActiveSet *s, std::size_t idx)
+    {
+        set = s;
+        word = idx >> 6;
+        bit = ActiveSet::bitOf(idx);
+    }
+
+    std::size_t
+    slot() const
+    {
+        return (word << 6) + static_cast<std::size_t>(std::countr_zero(bit));
+    }
+
+    ActiveSet *set = nullptr;
+    std::size_t word = 0;
     std::uint64_t bit = 0;
-    std::size_t *count = nullptr;
 };
 
 /**
@@ -74,12 +272,17 @@ class SleepToken
  *
  * Activity contract: every component starts active. A component may
  * call suspendSelf() from its tick() once it can prove that all its
- * future ticks would be no-ops until new input arrives -- i.e. its
- * input channels are completely empty (not merely not-ready), its
- * internal queues are drained, and it has no time-driven work pending.
- * Whoever injects new input (a Channel push, a message enqueue) must
- * wake the consumer via its SleepToken. Waking an idle component early
- * is always safe: a suspendable tick is a behavioral no-op.
+ * future ticks would be no-ops until new input becomes deliverable:
+ * its internal queues are drained and it has no time-driven work
+ * pending. Items latched in its input channels for a future cycle do
+ * not keep it awake, because whoever injects input wakes the consumer
+ * for the cycle the input becomes deliverable: Channel::pushFlit with
+ * SleepToken::wakeAt(delivery cycle), a message enqueue with wake().
+ * A returned credit wakes nobody: only an awake component reads its
+ * credit counts, and every tick first drains all credits ready by
+ * then, so a credit taken in late is indistinguishable from one taken
+ * in on time. Waking an idle component early is always safe: a
+ * suspendable tick is a behavioral no-op.
  */
 class Ticking
 {

@@ -14,7 +14,8 @@
  * planned wait (the kernel proved the next stimulus cycle), so a long
  * sleep cannot fake a hang, while a spinning livelock accrues executed
  * cycles and trips. The one hang that executes nothing -- every
- * component asleep with an empty event horizon -- is detected
+ * component asleep, nothing in flight toward one (no timed wake
+ * pending) and an empty event horizon -- is detected
  * structurally by the kernel (`tripDeadlock`), since nothing can ever
  * run again.
  *
@@ -101,8 +102,9 @@ class ProgressWatchdog
 
     /**
      * Structural-deadlock trip: the kernel observed that every
-     * component is asleep and the event horizon is empty, so no state
-     * can ever change again. Trips immediately.
+     * component is asleep, no timed wake is pending and the event
+     * horizon is empty, so no state can ever change again. Trips
+     * immediately.
      */
     void tripDeadlock(Cycle now);
 

@@ -10,7 +10,10 @@
  * quantum gate's spin/park handoffs, and goldens for the self-profile's
  * deterministic counters (tests/golden/parallel_profile_*.txt), which
  * pin how many quanta, barriers and merged flits and credits a run
- * takes.
+ * takes. WakeDeterminism.* and the domain-ring tests pin delivery-time
+ * wakes: a consumer sleeps until its flit is deliverable, a flit in
+ * flight is neither an idle span nor a deadlock, and a pending wake
+ * survives shutdown() and blocks adopt().
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "noc/network.hh"
 #include "sim/parallel/parallel_kernel.hh"
 #include "sim/parallel/spin_barrier.hh"
+#include "telemetry/telemetry.hh"
 #include "telemetry/watchdog.hh"
 #include "workload/benchmark_profile.hh"
 #include "workload/workload.hh"
@@ -425,9 +429,9 @@ struct NocHarness {
         for (NodeId id = 0; id < net->numNodes(); ++id) {
             net->niFor(id).setDeliverCallback(
                 id, [this, id](const PacketPtr &pkt, Cycle now) {
-                    (void)now;
                     ++delivered[pkt->id];
                     lastDst[pkt->id] = id;
+                    deliveredAt[pkt->id] = now;
                 });
         }
     }
@@ -456,6 +460,7 @@ struct NocHarness {
     std::unique_ptr<Network> net;
     std::map<PacketId, int> delivered;
     std::map<PacketId, NodeId> lastDst;
+    std::map<PacketId, Cycle> deliveredAt;
 };
 
 TEST(ParallelKernel, LookaheadFollowsCreditLatency)
@@ -491,6 +496,7 @@ TEST(ParallelKernel, MultiCycleQuantumMatchesSerial)
     EXPECT_EQ(par.sim.now(), serial.sim.now());
     EXPECT_EQ(par.delivered, serial.delivered);
     EXPECT_EQ(par.lastDst, serial.lastDst);
+    EXPECT_EQ(par.deliveredAt, serial.deliveredAt);
     EXPECT_EQ(par.flitsSent(), serial.flitsSent());
 }
 
@@ -517,8 +523,182 @@ TEST(ParallelKernel, ShutdownHandsBackSerialStepping)
 
     EXPECT_EQ(par.sim.now(), serial.sim.now());
     EXPECT_EQ(par.delivered, serial.delivered);
+    EXPECT_EQ(par.deliveredAt, serial.deliveredAt);
     EXPECT_EQ(par.flitsSent(), serial.flitsSent());
     EXPECT_TRUE(par.net->quiescent());
+}
+
+// ---------------------------------------------------------------------
+// Delivery-time wakes: a flit push wakes its consumer for the cycle the
+// flit becomes deliverable; until then the consumer may sleep.
+// ---------------------------------------------------------------------
+
+/** Cycle at which a counter first read `target` after a step. */
+struct FirstAt {
+    const std::uint64_t *counter;
+    std::uint64_t target = 1;
+    Cycle at = CYCLE_NEVER;
+
+    void
+    observe(Cycle c)
+    {
+        if (at == CYCLE_NEVER && *counter >= target)
+            at = c;
+    }
+};
+
+TEST(WakeDeterminism, SleepingRouterAndNiWakeAtDeliveryCycle)
+{
+    // One single-flit packet across a 2x1 mesh: NI0 -> router0 ->
+    // router1 -> NI1. Every consumer sleeps while the flit is on the
+    // wire toward it and enters the active set exactly at the delivery
+    // cycle (push cycle + linkLatency + 1), not at the push.
+    NocHarness h(2, 1);
+    Network &net = *h.net;
+    const Cycle delay = h.cfg.linkLatency + 1;
+    h.sim.run(4); // nothing to do: everyone falls asleep
+    ASSERT_EQ(h.sim.activeComponents(), 0u);
+
+    net.inject(net.makePacket(0, 1, 0, 1), h.sim.now());
+    SleepToken &r0 = net.router(0).sleepToken();
+    SleepToken &r1 = net.router(1).sleepToken();
+    SleepToken &ni1 = net.ni(1).sleepToken();
+    FirstAt niSent{&net.ni(0).stats.counter("flits_sent")};
+    FirstAt r0Got{&net.router(0).stats.counter("flits_received")};
+    FirstAt r0Sent{&net.router(0).stats.counter("flits_sent")};
+    FirstAt r1Got{&net.router(1).stats.counter("flits_received")};
+    FirstAt r1Sent{&net.router(1).stats.counter("flits_sent")};
+    FirstAt ejected{&net.ni(1).stats.counter("packets_delivered")};
+    while (ejected.at == CYCLE_NEVER && h.sim.now() < 100) {
+        const Cycle c = h.sim.now();
+        // Start of cycle c, before its timed wakes apply.
+        if (niSent.at != CYCLE_NEVER && c <= niSent.at + delay) {
+            EXPECT_FALSE(r0.active()) << "router0 awake at " << c;
+        }
+        if (r0Sent.at != CYCLE_NEVER && c <= r0Sent.at + delay) {
+            EXPECT_FALSE(r1.active()) << "router1 awake at " << c;
+        }
+        if (r1Sent.at != CYCLE_NEVER && c <= r1Sent.at + delay) {
+            EXPECT_FALSE(ni1.active()) << "ni1 awake at " << c;
+        }
+        h.sim.step();
+        for (FirstAt *f : {&niSent, &r0Got, &r0Sent, &r1Got, &r1Sent,
+                           &ejected})
+            f->observe(c);
+        // A router leaves the active set in the cycle its last flit
+        // departs, with nothing left to wait for.
+        if (c == r0Sent.at) {
+            EXPECT_FALSE(r0.active());
+            EXPECT_TRUE(r1.wakePending());
+        }
+    }
+    ASSERT_NE(ejected.at, CYCLE_NEVER);
+    EXPECT_EQ(r0Got.at, niSent.at + delay);
+    EXPECT_EQ(r1Got.at, r0Sent.at + delay);
+    EXPECT_EQ(ejected.at, r1Sent.at + delay);
+    EXPECT_FALSE(r1.wakePending());
+    EXPECT_FALSE(ni1.wakePending());
+}
+
+TEST(WakeDeterminism, FlitInFlightIsNotADeadlockOrAnIdleSpan)
+{
+    // With every component asleep, the event queue empty and the
+    // watchdog on, the only live state is a flit on a link. The kernel
+    // must neither trip the structural-deadlock check nor fast-forward
+    // past the delivery: the run ends on the cycle a kernel without
+    // fast-forward ends on.
+    auto deliveryCycle = [](bool fast_forward) {
+        NocHarness h(2, 1);
+        h.sim.setFastForward(fast_forward);
+        TelemetryConfig tc;
+        tc.watchdogWindow = 1000;
+        Telemetry tel(tc, 2);
+        h.sim.setTelemetry(&tel);
+        Network &net = *h.net;
+        net.inject(net.makePacket(0, 1, 0, 1), h.sim.now());
+        const std::uint64_t &sent = net.router(0).stats.counter("flits_sent");
+        while (sent == 0 && h.sim.now() < 100)
+            h.sim.step();
+        EXPECT_EQ(h.sim.activeComponents(), 0u);
+        EXPECT_TRUE(h.sim.events().empty());
+        EXPECT_TRUE(net.router(1).sleepToken().wakePending());
+        const std::uint64_t &done =
+            net.ni(1).stats.counter("packets_delivered");
+        const Cycle ff = h.sim.cyclesFastForwarded();
+        bool ok = false;
+        EXPECT_NO_THROW(ok = h.sim.runUntil(
+                            [&] { return done == 1; }, 1000,
+                            Simulator::PredicateMode::StateChange));
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(h.sim.cyclesFastForwarded(), ff);
+        h.sim.setTelemetry(nullptr);
+        return h.sim.now();
+    };
+    EXPECT_EQ(deliveryCycle(true), deliveryCycle(false));
+}
+
+TEST(ParallelKernel, ShutdownMovesPendingDomainWakeToSerialRing)
+{
+    // Shut the kernel down while a fabric router sleeps with a flit in
+    // flight toward it: its timed wake must move from the domain ring
+    // to the serial ring (a dropped wake strands the flit), and the
+    // run must still match a serial run.
+    const Cycle full = 400;
+    NocHarness serial(4, 4);
+    serial.injectAll();
+    serial.sim.run(full);
+
+    NocHarness par(4, 4);
+    par.injectAll();
+    NodeId waiting = INVALID_NODE;
+    {
+        ParallelKernel k(par.sim, *par.net, 4);
+        ASSERT_EQ(k.stolenComponents(),
+                  static_cast<std::size_t>(par.net->numRouters()));
+        while (waiting == INVALID_NODE && par.sim.now() < full) {
+            par.sim.step();
+            for (NodeId id = 0; id < par.net->numRouters(); ++id) {
+                SleepToken &t = par.net->router(id).sleepToken();
+                if (!t.active() && t.wakePending()) {
+                    waiting = id;
+                    break;
+                }
+            }
+        }
+        ASSERT_NE(waiting, INVALID_NODE);
+        k.shutdown();
+    }
+    SleepToken &t = par.net->router(waiting).sleepToken();
+    EXPECT_FALSE(t.active());
+    EXPECT_TRUE(t.wakePending());
+    par.sim.run(full - par.sim.now());
+
+    EXPECT_EQ(par.sim.now(), serial.sim.now());
+    EXPECT_EQ(par.delivered, serial.delivered);
+    EXPECT_EQ(par.lastDst, serial.lastDst);
+    EXPECT_EQ(par.deliveredAt, serial.deliveredAt);
+    EXPECT_EQ(par.flitsSent(), serial.flitsSent());
+    EXPECT_TRUE(par.net->quiescent());
+}
+
+TEST(ParallelKernel, AdoptRejectsPendingTimedWake)
+{
+    // A domain ring starts empty, so stealing a router whose wake sits
+    // in the serial ring would strand the flit; adopt() refuses.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    NocHarness h(4, 4);
+    h.injectAll();
+    auto anyPending = [&] {
+        for (NodeId id = 0; id < h.net->numRouters(); ++id)
+            if (h.net->router(id).sleepToken().wakePending())
+                return true;
+        return false;
+    };
+    while (!anyPending() && h.sim.now() < 100)
+        h.sim.step();
+    ASSERT_TRUE(anyPending());
+    EXPECT_DEATH({ ParallelKernel k(h.sim, *h.net, 4); },
+                 "timed wake pending");
 }
 
 TEST(ParallelKernel, MeshPresetParsesWxH)
