@@ -8,36 +8,6 @@
 
 namespace inpg {
 
-void
-Config::loadString(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        auto eq = line.find('=');
-        if (eq == std::string::npos)
-            fatal("config line without '=': '%s'", line.c_str());
-        set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
-    }
-}
-
-void
-Config::loadFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open config file '%s'", path.c_str());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    loadString(buffer.str());
-}
-
 namespace {
 
 /** "--trace-out" -> "trace_out". */
@@ -72,10 +42,62 @@ checkKnown(const std::string &key, const std::string &token,
     for (const auto &k : *known)
         if (k == key)
             return;
-    fatal("unknown flag '%s' (key '%s')", token.c_str(), key.c_str());
+    fatal("unknown key '%s' in '%s'", key.c_str(), token.c_str());
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open config file '%s'", path.c_str());
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
 }
 
 } // namespace
+
+void
+Config::loadString(const std::string &text)
+{
+    parseString(text, nullptr);
+}
+
+void
+Config::loadFile(const std::string &path)
+{
+    parseString(readFile(path), nullptr);
+}
+
+void
+Config::loadFile(const std::string &path,
+                 const std::vector<std::string> &known)
+{
+    parseString(readFile(path), &known);
+}
+
+void
+Config::parseString(const std::string &text,
+                    const std::vector<std::string> *known)
+{
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        auto hash = line.find('#');
+        if (hash != std::string::npos)
+            line = line.substr(0, hash);
+        line = trim(line);
+        if (line.empty())
+            continue;
+        auto eq = line.find('=');
+        if (eq == std::string::npos)
+            fatal("config line without '=': '%s'", line.c_str());
+        const std::string key = trim(line.substr(0, eq));
+        checkKnown(key, line, known);
+        set(key, trim(line.substr(eq + 1)));
+    }
+}
 
 void
 Config::loadArgs(int argc, const char *const *argv)

@@ -29,6 +29,13 @@ class Config
     void loadFile(const std::string &path);
 
     /**
+     * Strict variant: every key in the file must appear in `known`,
+     * as for the strict loadArgs().
+     */
+    void loadFile(const std::string &path,
+                  const std::vector<std::string> &known);
+
+    /**
      * Apply argv-style overrides. Three spellings are accepted and
      * behave identically:
      *
@@ -69,6 +76,8 @@ class Config
     std::vector<std::string> keys() const;
 
   private:
+    void parseString(const std::string &text,
+                     const std::vector<std::string> *known);
     void parseArgs(int argc, const char *const *argv,
                    const std::vector<std::string> *known);
 

@@ -112,8 +112,7 @@ System::runUntil(const std::function<bool()> &done, Cycle max_cycles)
 {
     // Harness predicates are pure state functions (workload/protocol
     // completion), so idle spans may be skipped in one jump.
-    if (!kernel.runUntil(done, max_cycles,
-                         Simulator::PredicateMode::StateChange)) {
+    if (!kernel.runUntil(done, max_cycles)) {
         fatal("simulation did not converge within %llu cycles "
               "(mechanism %s, lock %s)",
               static_cast<unsigned long long>(max_cycles),

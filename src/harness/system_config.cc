@@ -85,6 +85,20 @@ SystemConfig::finalize()
         threads = 64;
 }
 
+const std::vector<std::string> &
+SystemConfig::overrideKeys()
+{
+    static const std::vector<std::string> keys = {
+        "topology", "mesh_width", "mesh_height", "escape_vcs", "threads",
+        "vcs_per_vnet", "vc_depth", "l1_latency", "l2_latency",
+        "mem_latency", "big_routers", "barrier_entries", "ei_entries",
+        "barrier_ttl", "spin_interval", "qsl_retry_limit",
+        "context_switch_cost", "wakeup_cost", "seed", "mechanism", "lock",
+        "telemetry", "watchdog_window", "timeseries_epoch",
+        "recorder_capacity", "drop_dir_response"};
+    return keys;
+}
+
 void
 SystemConfig::applyOverrides(const Config &cfg)
 {
@@ -97,26 +111,6 @@ SystemConfig::applyOverrides(const Config &cfg)
         if (const char *spec = lookupTopologyPreset(t))
             t = spec;
         TopologySpec::parse(t).applyTo(noc);
-    }
-    // "mesh=WxH" is the deprecated spelling of topology=mesh:WxH; keep
-    // it working (a lot of scripts use it) but nudge toward the new
-    // key. Explicit mesh_width/mesh_height still win.
-    if (cfg.has("mesh")) {
-        std::string m = toLower(cfg.getString("mesh"));
-        std::size_t x = m.find('x');
-        int w = 0, h = 0;
-        if (x != std::string::npos) {
-            w = std::atoi(m.substr(0, x).c_str());
-            h = std::atoi(m.substr(x + 1).c_str());
-        }
-        if (w < 1 || h < 1)
-            fatal("bad mesh '%s' (want WxH, e.g. 16x16)", m.c_str());
-        warn("mesh=%s is deprecated; use topology=mesh:%dx%d", m.c_str(),
-             w, h);
-        noc.topology = TopologyKind::Mesh;
-        noc.concentration = 1;
-        noc.meshWidth = w;
-        noc.meshHeight = h;
     }
     noc.meshWidth = static_cast<int>(
         cfg.getInt("mesh_width", noc.meshWidth));
@@ -154,15 +148,6 @@ SystemConfig::applyOverrides(const Config &cfg)
         "wakeup_cost", static_cast<long long>(sync.wakeupCost)));
     seed = static_cast<std::uint64_t>(cfg.getInt(
         "seed", static_cast<long long>(seed)));
-    if (cfg.has("routing")) {
-        std::string r = toLower(cfg.getString("routing"));
-        if (r == "xy")
-            noc.routing = RoutingKind::XY;
-        else if (r == "yx")
-            noc.routing = RoutingKind::YX;
-        else
-            fatal("unknown routing '%s' (xy|yx)", r.c_str());
-    }
     if (cfg.has("mechanism"))
         mechanism = parseMechanism(cfg.getString("mechanism"));
     if (cfg.has("lock"))
@@ -196,8 +181,7 @@ SystemConfig::describe() const
     spec.concentration = noc.concentration;
     std::ostringstream os;
     os << "Cores      : " << numCores() << " (" << spec.canonical()
-       << ", " << (noc.routing == RoutingKind::YX ? "YX" : "XY")
-       << " routing, 2-stage router, " << noc.vcsPerVnet
+       << ", XY routing, 2-stage router, " << noc.vcsPerVnet
        << " VCs/vnet x " << noc.numVnets << " vnets, " << noc.vcDepth
        << "-flit VCs)\n";
     os << "L1 cache   : private, " << coh.l1Latency

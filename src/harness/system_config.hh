@@ -8,6 +8,7 @@
 #define INPG_HARNESS_SYSTEM_CONFIG_HH
 
 #include <string>
+#include <vector>
 
 #include "coh/coh_config.hh"
 #include "common/config.hh"
@@ -35,7 +36,7 @@ struct SystemConfig {
      * Host worker threads for the simulation kernel. 1 (the default)
      * runs the classic serial loop; >1 attaches the parallel kernel
      * (src/sim/parallel), which shards plain routers across worker
-     * threads in conservative-lookahead quanta. Simulated results are
+     * threads, one barrier per cycle. Simulated results are
      * bit-identical for every value. finalize() clamps to [1, 64].
      */
     int threads = 1;
@@ -51,8 +52,14 @@ struct SystemConfig {
      */
     void finalize();
 
-    /** Apply "key=value" overrides (mesh, mechanism, lock, ...). */
+    /** Apply "key=value" overrides (topology, mechanism, lock, ...). */
     void applyOverrides(const Config &cfg);
+
+    /**
+     * Every key applyOverrides() reads: the SystemConfig half of a
+     * strict driver's known-key list (Config::loadArgs).
+     */
+    static const std::vector<std::string> &overrideKeys();
 
     /** Table 1-style multi-line description. */
     std::string describe() const;

@@ -86,14 +86,14 @@ class DelayLine
  * only). While installed on a Channel, pushes are appended here --
  * stamped with their push cycle, FIFO per direction -- instead of
  * entering the DelayLines, so a producer on one thread never touches
- * the consumer's state mid-quantum. The coordinator drains the box at
- * the quantum barrier by re-pushing with the original cycles, which
+ * the consumer's state mid-cycle. The coordinator drains the box at
+ * the cycle's barrier by re-pushing with the original cycles, which
  * reproduces the serial delivery schedule exactly.
  *
  * The two directions have disjoint single writers: flits are pushed
  * by the credit sink's domain, credits by the flit sink's domain, and
  * the two differ (that is what makes the channel a boundary). The
- * first push of a quantum into an empty direction appends the box to
+ * first push of a cycle into an empty direction appends the box to
  * that producer's dirty list, so the merge visits only boxes that
  * carry traffic. Each dirty list also has one writer, so neither the
  * box nor the lists need a lock or an atomic.
@@ -127,27 +127,28 @@ struct ChannelOutbox {
 };
 
 /**
+ * Flit delay of one hop in cycles: the sender's switch traversal (ST)
+ * plus the 1-cycle link, completing the paper's 2-stage router +
+ * 1-cycle link hop timing.
+ */
+constexpr Cycle FLIT_DELAY = 2;
+
+/** Credit return delay in cycles. */
+constexpr Cycle CREDIT_DELAY = 1;
+
+static_assert(FLIT_DELAY < ActiveSet::WAKE_RING,
+              "the flit delay must fit the wake calendar");
+
+/**
  * One direction of a router-to-router (or NI-to-router) channel:
- * a flit pipe downstream and a credit pipe upstream.
- *
- * The flit delay is linkLatency + 1 to account for the sender's switch
- * traversal stage (ST), completing the paper's 2-stage router + 1-cycle
- * link hop timing; credits return in creditLatency cycles (1 by
- * default -- together these lower-bound the parallel kernel's
- * conservative lookahead).
+ * a flit pipe downstream (FLIT_DELAY) and a credit pipe upstream
+ * (CREDIT_DELAY). Both delays are at least 1, which is what lets the
+ * parallel kernel merge cross-domain traffic at the end of each cycle.
  */
 class Channel
 {
   public:
-    explicit Channel(Cycle link_latency = 1, Cycle credit_latency = 1)
-        : flits(link_latency + 1), credits(credit_latency)
-    {
-        INPG_ASSERT(link_latency + 1 < ActiveSet::WAKE_RING,
-                    "flit delay %llu does not fit the %llu-cycle wake "
-                    "calendar",
-                    static_cast<unsigned long long>(link_latency + 1),
-                    static_cast<unsigned long long>(ActiveSet::WAKE_RING));
-    }
+    Channel() : flits(FLIT_DELAY), credits(CREDIT_DELAY) {}
 
     /**
      * Register the component that drains each pipe. Senders must inject
@@ -181,7 +182,7 @@ class Channel
         }
         flits.push(std::move(flit), now);
         if (flitSink)
-            flitSink->sleepToken().wakeAt(now + flits.linkLatency());
+            flitSink->sleepToken().wakeAt(now + FLIT_DELAY);
     }
 
     /**

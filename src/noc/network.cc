@@ -60,8 +60,7 @@ Network::Network(const NocConfig &config, Simulator &sim,
 Channel *
 Network::newChannel()
 {
-    channels.push_back(
-        std::make_unique<Channel>(cfg.linkLatency, cfg.creditLatency));
+    channels.push_back(std::make_unique<Channel>());
     return channels.back().get();
 }
 

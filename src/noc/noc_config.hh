@@ -15,12 +15,6 @@
 
 namespace inpg {
 
-/** Routing algorithm selector. */
-enum class RoutingKind {
-    XY, ///< X-then-Y dimension order (paper default)
-    YX, ///< Y-then-X dimension order
-};
-
 /** Fabric selector; see noc/topology.hh for the full contract. */
 enum class TopologyKind {
     Mesh,  ///< rectangular mesh (paper baseline)
@@ -73,24 +67,11 @@ struct NocConfig {
     /** Buffer depth per VC in flits. */
     int vcDepth = 4;
 
-    /** Wire latency of one hop in cycles (router adds its 2 stages). */
-    Cycle linkLatency = 1;
-
-    /**
-     * Credit return latency in cycles. Together with linkLatency it
-     * lower-bounds the parallel kernel's conservative lookahead:
-     * quantum <= min(linkLatency + 1, creditLatency).
-     */
-    Cycle creditLatency = 1;
-
     /** Flits in a cache-block-carrying packet (128B / 128-bit = 8). */
     int dataPacketFlits = 8;
 
     /** Flits in a coherence control packet. */
     int ctrlPacketFlits = 1;
-
-    /** Routing algorithm. */
-    RoutingKind routing = RoutingKind::XY;
 
     /** Switch allocation policy (Priority enables OCOR arbitration). */
     SwitchPolicy switchPolicy = SwitchPolicy::RoundRobin;

@@ -7,8 +7,8 @@
  * allocation in parallel (speculatively); stage 2 is switch traversal.
  * In this model a flit buffered at cycle t becomes eligible for stage 1
  * at t+1; a switch-allocation winner at cycle g is delivered to the next
- * hop's buffers at g + 1 (ST) + linkLatency, giving the paper's
- * 2-cycle router + 1-cycle link hop time.
+ * hop's buffers at g + FLIT_DELAY (1 ST + 1 link, noc/link.hh), giving
+ * the paper's 2-cycle router + 1-cycle link hop time.
  *
  * The class exposes protected hooks and an optional internal "generator"
  * input port so that BigRouter (src/inpg) can implement in-network

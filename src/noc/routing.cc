@@ -102,22 +102,6 @@ MeshShape::hopDistance(NodeId a, NodeId b) const
 }
 
 RouteEntry
-YXRouting::routeEntry(NodeId here, NodeId dst) const
-{
-    Coord ch = shape.coordOf(here);
-    Coord cd = shape.coordOf(dstRouter(dst));
-    if (ch.y < cd.y)
-        return {Direction::South, VC_CLASS_ANY};
-    if (ch.y > cd.y)
-        return {Direction::North, VC_CLASS_ANY};
-    if (ch.x < cd.x)
-        return {Direction::East, VC_CLASS_ANY};
-    if (ch.x > cd.x)
-        return {Direction::West, VC_CLASS_ANY};
-    return {Direction::Local, VC_CLASS_ANY};
-}
-
-RouteEntry
 XYRouting::routeEntry(NodeId here, NodeId dst) const
 {
     Coord ch = shape.coordOf(here);
@@ -133,11 +117,10 @@ XYRouting::routeEntry(NodeId here, NodeId dst) const
     return {Direction::Local, VC_CLASS_ANY};
 }
 
-TorusRouting::TorusRouting(MeshShape mesh_shape, RoutingKind order,
-                           bool escape_vcs, int concentration)
+TorusRouting::TorusRouting(MeshShape mesh_shape, bool escape_vcs,
+                           int concentration)
     : RoutingAlgorithm(concentration),
       shape(mesh_shape),
-      xFirst(order == RoutingKind::XY),
       escapeVcs(escape_vcs)
 {
     if (shape.width() < 3 || shape.height() < 3)
@@ -179,9 +162,7 @@ TorusRouting::routeEntry(NodeId here, NodeId dst) const
                                       Direction::East, Direction::West);
     const RouteEntry y_hop = routeDim(ch.y, cd.y, shape.height(),
                                       Direction::South, Direction::North);
-    if (xFirst)
-        return x_hop.dir != Direction::Local ? x_hop : y_hop;
-    return y_hop.dir != Direction::Local ? y_hop : x_hop;
+    return x_hop.dir != Direction::Local ? x_hop : y_hop;
 }
 
 } // namespace inpg

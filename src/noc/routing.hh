@@ -1,6 +1,6 @@
 /**
  * @file
- * Routing: port naming, the XY/YX dimension-order algorithms used by
+ * Routing: port naming, the XY dimension-order algorithm used by
  * the paper's target architecture (deadlock-free on a mesh with no
  * turnaround), and the torus variant whose route entries carry the
  * dateline VC class that keeps wraparound links deadlock-free.
@@ -172,27 +172,9 @@ class XYRouting : public RoutingAlgorithm
 };
 
 /**
- * Y-first-then-X dimension-order routing: the transposed deadlock-free
- * alternative. Useful for routing-sensitivity studies (hotspot traffic
- * toward the top/bottom memory-controller rows behaves differently).
- */
-class YXRouting : public RoutingAlgorithm
-{
-  public:
-    explicit YXRouting(MeshShape mesh_shape, int concentration = 1)
-        : RoutingAlgorithm(concentration), shape(mesh_shape)
-    {}
-
-    RouteEntry routeEntry(NodeId here, NodeId dst) const override;
-
-  private:
-    MeshShape shape;
-};
-
-/**
  * Torus dimension-order routing: minimal-path per dimension (wrapping
  * when the wrap direction is shorter; ties break toward East/South),
- * X before Y under RoutingKind::XY and Y before X under YX. With
+ * X before Y. With
  * escape VCs enabled each hop carries a dateline class -- class 0
  * while the dimension's wrap edge is still ahead, class 1 after it --
  * which is what makes the wraparound rings acyclic (see
@@ -203,8 +185,8 @@ class YXRouting : public RoutingAlgorithm
 class TorusRouting : public RoutingAlgorithm
 {
   public:
-    TorusRouting(MeshShape mesh_shape, RoutingKind order,
-                 bool escape_vcs, int concentration = 1);
+    TorusRouting(MeshShape mesh_shape, bool escape_vcs,
+                 int concentration = 1);
 
     RouteEntry routeEntry(NodeId here, NodeId dst) const override;
 
@@ -214,7 +196,6 @@ class TorusRouting : public RoutingAlgorithm
                         Direction inc_dir, Direction dec_dir) const;
 
     MeshShape shape;
-    bool xFirst;
     bool escapeVcs;
 };
 

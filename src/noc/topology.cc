@@ -287,8 +287,6 @@ class MeshTopology : public Topology
     std::unique_ptr<RoutingAlgorithm>
     makeRouting() const override
     {
-        if (cfg.routing == RoutingKind::YX)
-            return std::make_unique<YXRouting>(grid, cfg.concentration);
         return std::make_unique<XYRouting>(grid, cfg.concentration);
     }
 };
@@ -344,8 +342,7 @@ class TorusTopology : public Topology
     std::unique_ptr<RoutingAlgorithm>
     makeRouting() const override
     {
-        return std::make_unique<TorusRouting>(grid, cfg.routing,
-                                              cfg.escapeVcs,
+        return std::make_unique<TorusRouting>(grid, cfg.escapeVcs,
                                               cfg.concentration);
     }
 };
@@ -372,8 +369,6 @@ class CMeshTopology : public Topology
     std::unique_ptr<RoutingAlgorithm>
     makeRouting() const override
     {
-        if (cfg.routing == RoutingKind::YX)
-            return std::make_unique<YXRouting>(grid, cfg.concentration);
         return std::make_unique<XYRouting>(grid, cfg.concentration);
     }
 };

@@ -10,7 +10,7 @@
  * its topology-aware deadlock-freedom check.
  *
  * Three fabrics:
- *  - mesh:WxH    -- the paper's baseline. XY/YX dimension-order
+ *  - mesh:WxH    -- the paper's baseline. XY dimension-order
  *                   routing, no wraparound, every route entry carries
  *                   VC_CLASS_ANY (so the port onto this interface is
  *                   bit-identical to the pre-Topology mesh).
@@ -152,7 +152,7 @@ class Topology
     /** Router-grid hop distance between two routers. */
     virtual int hopDistance(NodeId router_a, NodeId router_b) const;
 
-    /** Routing algorithm honoring cfg.routing (XY/YX order). */
+    /** Dimension-order (X then Y) routing algorithm for this fabric. */
     virtual std::unique_ptr<RoutingAlgorithm> makeRouting() const = 0;
 
     /**

@@ -1,7 +1,6 @@
 #include "sim/parallel/parallel_kernel.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -19,7 +18,7 @@ namespace {
  * busy 8x8 run (routers ~77% of cycle time, events+NIs+dirs ~23%;
  * DESIGN.md section 11). The coordinator always carries the non-router
  * load, so it keeps the router fraction x that equalizes
- * coordinator (O + R*x) and worker (R * (1 - x) / W) per-quantum work.
+ * coordinator (O + R*x) and worker (R * (1 - x) / W) per-cycle work.
  * Pure arithmetic on constants: the partition is deterministic.
  */
 std::size_t
@@ -44,11 +43,6 @@ ParallelKernel::ParallelKernel(Simulator &sim_, Network &net_,
     INPG_ASSERT(threads >= 2,
                 "ParallelKernel needs >= 2 threads; threads=1 is the "
                 "serial kernel");
-    const NocConfig &cfg = net.config();
-    lookaheadCycles =
-        std::min<Cycle>(cfg.linkLatency + 1, cfg.creditLatency);
-    INPG_ASSERT(lookaheadCycles >= 1, "degenerate lookahead");
-
     // Fabric-eligible components: plain routers only. BigRouters pin
     // to the coordinator (they mutate packets, allocate from the
     // network's id space, and feed the flight recorder / LCO sinks);
@@ -97,8 +91,8 @@ ParallelKernel::ParallelKernel(Simulator &sim_, Network &net_,
 
     sim.attachParallel(this);
 
-    // Built before the workers spawn so every quantum is profiled.
-    prof = std::make_unique<ParallelProfile>(nThreads, lookaheadCycles);
+    // Built before the workers spawn so every cycle is profiled.
+    prof = std::make_unique<ParallelProfile>(nThreads);
 
     workers.reserve(static_cast<std::size_t>(nWorkers));
     for (int w = 0; w < nWorkers; ++w)
@@ -183,7 +177,7 @@ ParallelKernel::classifyBoundaries(Network &network,
         box.creditDirty = dirtyListOf(flitSinkDom);
         ch->setOutbox(&box);
     }
-    // Sized once so a quantum never grows a list: the coordinator's
+    // Sized once so a cycle never grows a list: the coordinator's
     // list also receives every worker's entries at the merge, and a
     // box dirty in both directions appears twice.
     coordDirty.reserve(2 * boundaries.size());
@@ -194,7 +188,7 @@ ParallelKernel::classifyBoundaries(Network &network,
 std::size_t
 ParallelKernel::fabricActive() const
 {
-    // Plain reads: only valid between quanta, when every worker is
+    // Plain reads: only valid between cycles, when every worker is
     // parked (ordered by the per-domain arrival gates).
     std::size_t n = 0;
     for (const Domain &d : domains)
@@ -205,7 +199,7 @@ ParallelKernel::fabricActive() const
 bool
 ParallelKernel::fabricQuiescent() const
 {
-    // Same between-quanta rule as fabricActive().
+    // Same between-cycles rule as fabricActive().
     for (const Domain &d : domains)
         if (!d.set.quiescent())
             return false;
@@ -226,10 +220,12 @@ ParallelKernel::workerLoop(std::size_t d)
             return;
         }
         const std::uint64_t t1 = ParallelProfile::nowNs();
-        const std::uint64_t ticks =
-            sweepDomain(dom, quantumBase, quantumLen);
+        // The clock is read, never written, while workers run: the
+        // coordinator advances it only between its arrival-gate await
+        // and the next `go` release.
+        const std::uint64_t ticks = sweepDomain(dom, sim.now());
         // Recorded before the gate release: the coordinator's await
-        // acquires these writes, so it may read them between quanta.
+        // acquires these writes, so it may read them between cycles.
         prof->workerQuantum(d, t1 - t0, ParallelProfile::nowNs() - t1,
                             ticks);
         dom.done.release(epoch);
@@ -237,64 +233,31 @@ ParallelKernel::workerLoop(std::size_t d)
 }
 
 std::uint64_t
-ParallelKernel::sweepDomain(Domain &d, Cycle base, Cycle quantum)
+ParallelKernel::sweepDomain(Domain &d, Cycle now)
 {
-    // Same cycle as the serial kernel: apply the domain ring's wakes
-    // for the cycle, then the cursor-mask sweep (live word re-read so
-    // a forward wake inside the domain runs this same cycle, retired
-    // bits wait for the next cycle).
+    // Same cycle body as the serial kernel: apply the domain ring's
+    // wakes for the cycle, then the one active-set sweep.
+    d.set.applyWakes(now);
     std::uint64_t ticks = 0;
-    for (Cycle c = 0; c < quantum; ++c) {
-        const Cycle now = base + c;
-        d.set.applyWakes(now);
-        for (std::size_t w = 0; w < d.set.numWords(); ++w) {
-            std::uint64_t eligible = ~std::uint64_t{0};
-            std::uint64_t m;
-            while ((m = d.set.word(w) & eligible) != 0) {
-                const std::size_t b =
-                    static_cast<std::size_t>(std::countr_zero(m));
-                eligible &= ~std::uint64_t{0} << 1 << b;
-                d.comps[(w << 6) + b]->tick(now);
-                ++ticks;
-            }
-        }
-    }
+    d.set.sweep([&](std::size_t i) {
+        d.comps[i]->tick(now);
+        ++ticks;
+    });
     return ticks;
 }
 
 void
-ParallelKernel::step(Cycle quantum)
+ParallelKernel::step()
 {
-    INPG_ASSERT(sim.profile == nullptr,
-                "host phase profiling requires the serial kernel "
-                "(--threads=1)");
-    Cycle q = quantum;
-    // Diagnosis observers sample per executed cycle; their view must
-    // match the serial kernel's, so their presence pins the quantum.
-    if (sim.sampler || sim.wdog)
-        q = 1;
-    q = std::clamp<Cycle>(q, 1, lookaheadCycles);
-
     // Elide the barrier round-trip while every fabric domain is
     // quiescent (nothing active, no timed wake pending); the
     // coordinator's own merge below can wake them back up.
     const bool fabricBusy = !fabricQuiescent();
-    prof->onQuantum(q, fabricBusy);
-    if (fabricBusy) {
-        ++seq;
-        quantumBase = sim.currentCycle;
-        quantumLen = q;
-        go.release(seq);
-    }
+    prof->onQuantum(fabricBusy);
+    if (fabricBusy)
+        go.release(++seq);
     const std::uint64_t tSweep = ParallelProfile::nowNs();
-    for (Cycle i = 0;;) {
-        sim.active.applyWakes(sim.currentCycle);
-        sim.runEventPhase();
-        sim.sweepActive();
-        if (++i >= q)
-            break;
-        ++sim.currentCycle;
-    }
+    sim.sweepSerial();
     const std::uint64_t tBarrier = ParallelProfile::nowNs();
     if (fabricBusy) {
         for (Domain &d : domains)
@@ -305,18 +268,13 @@ ParallelKernel::step(Cycle quantum)
     prof->coordinatorQuantum(tBarrier - tSweep,
                              fabricBusy ? tMerge - tBarrier : 0,
                              ParallelProfile::nowNs() - tMerge);
-    if (sim.sampler)
-        sim.sampler->onCycle(sim.currentCycle);
-    if (sim.wdog)
-        sim.wdog->onCycle(sim.currentCycle);
-    ++sim.currentCycle;
 }
 
 void
 ParallelKernel::drainOutboxes()
 {
     // Deterministic merge: only the outboxes some thread pushed into
-    // this quantum, sorted into fixed channel order, FIFO within each
+    // this cycle, sorted into fixed channel order, FIFO within each
     // channel (single producer per direction), and every re-push
     // carries its original cycle so DelayLine delivery cycles -- and
     // the sink wakes -- are exactly the serial ones.
@@ -369,7 +327,7 @@ ParallelKernel::shutdown()
     joined = true;
 
     // Flush any unmerged traffic (normally none: shutdown happens
-    // between quanta, after the merge), then undo the diversion.
+    // between cycles, after the merge), then undo the diversion.
     drainOutboxes();
     for (Boundary &b : boundaries)
         b.channel->setOutbox(nullptr);

@@ -15,38 +15,42 @@
  * allocator -- the per-edge outbox mailboxes carry the only cross-tile
  * traffic (flits and credits).
  *
- * Each quantum the coordinator releases the workers, sweeps its own
- * active set (events + domain-0 components) for the same cycles,
- * waits for all workers to arrive, then merges: the boundary-channel
- * outboxes that saw a push this quantum (each thread's dirty list)
- * are drained in deterministic channel order (each re-push carries
- * the original push cycle, so delivery cycles are exactly the serial
- * ones). A packet's head flit sits in one router per cycle and
- * crosses domains only through those outboxes, so each packet
- * lifetime record has one writer per quantum and the coordinator
- * reads it only after a merge. The quantum length is bounded by the conservative
- * lookahead min(linkLatency + 1, creditLatency): no cross-domain item
- * pushed inside a quantum can become deliverable before the quantum
- * ends, so the merge is never late. Diagnosis observers (timeseries
- * sampler, progress watchdog) and runUntil predicates must see every
- * executed cycle, so their presence clamps the quantum to one cycle.
+ * Every cycle the coordinator releases the workers, runs its own
+ * share of the cycle (events + domain-0 components, Simulator's one
+ * serial cycle body) while each worker sweeps its domain for the same
+ * cycle, waits for all workers to arrive, then merges: the
+ * boundary-channel outboxes that saw a push this cycle (each thread's
+ * dirty list) are drained in deterministic channel order (each
+ * re-push carries the original push cycle, so delivery cycles are
+ * exactly the serial ones). A packet's head flit sits in one router
+ * per cycle and crosses domains only through those outboxes, so each
+ * packet lifetime record has one writer per cycle and the coordinator
+ * reads it only after a merge. The simulator's end-of-cycle tail
+ * (timeseries sampler, progress watchdog, clock) runs after the merge,
+ * exactly as in the serial kernel.
  *
- * Determinism: at every quantum boundary the simulated state --
- * channel contents, active sets, wake calendars, telemetry -- is
- * identical to the serial kernel's state at that cycle. Each domain
- * has its own ActiveSet, whose wake calendar (the domain ring) it
- * applies at the start of every cycle of its sweep. A flit push wakes
- * its consumer for the delivery cycle, push + linkLatency + 1, which
- * is never inside the current quantum (the lookahead bound), so the
- * merge's re-push sets the wake in the consumer's ring -- a domain
- * ring or the serial one -- before that ring reaches the cycle; credits
- * wake nobody. The coordinator writes domain rings only during the
- * merge, while every worker is parked. Fabric routers are woken by
- * timed wakes alone, so no tick is skipped or added against the serial
- * kernel. The barrier is elided only while every domain is quiescent:
- * nothing active and no timed wake pending (a flit in flight toward a
- * sleeping fabric router keeps its domain live). shutdown() moves every
- * pending domain wake back into the serial ring.
+ * One cycle per barrier is all the channel latencies allow, and it is
+ * enough: a cross-domain flit pushed at cycle t becomes deliverable at
+ * t + FLIT_DELAY (2) and a credit at t + CREDIT_DELAY (1), so nothing
+ * pushed during a cycle can be read before the next cycle, and the
+ * merge at the end of the cycle is never late.
+ *
+ * Determinism: at every cycle boundary the simulated state -- channel
+ * contents, active sets, wake calendars, telemetry -- is identical to
+ * the serial kernel's state at that cycle. Each domain has its own
+ * ActiveSet, whose wake calendar (the domain ring) it applies at the
+ * start of every cycle of its sweep. A flit push wakes its consumer
+ * for the delivery cycle, push + FLIT_DELAY, which is never the
+ * current cycle, so the merge's re-push sets the wake in the
+ * consumer's ring -- a domain ring or the serial one -- before that
+ * ring reaches the cycle; credits wake nobody. The coordinator writes
+ * domain rings only during the merge, while every worker is parked.
+ * Fabric routers are woken by timed wakes alone, so no tick is skipped
+ * or added against the serial kernel. The barrier is elided only while
+ * every domain is quiescent: nothing active and no timed wake pending
+ * (a flit in flight toward a sleeping fabric router keeps its domain
+ * live). shutdown() moves every pending domain wake back into the
+ * serial ring.
  * tests/test_parallel_kernel.cc holds the fingerprint, stats-JSON, and
  * hang-report equivalence suites.
  */
@@ -80,8 +84,8 @@ class ParallelKernel
      * Shard `net`'s plain routers across `threads - 1` worker domains
      * (the coordinator keeps a load-balancing share), divert every
      * boundary channel through an outbox, and attach to `sim` so
-     * step()/run()/runUntil() delegate to quantum stepping. threads
-     * must be >= 2; the serial kernel IS the threads == 1 path.
+     * every cycle it executes runs through step(). threads must be
+     * >= 2; the serial kernel IS the threads == 1 path.
      *
      * All components must already be registered with `sim`; the
      * simulator rejects addTicking() while a parallel kernel is
@@ -103,18 +107,8 @@ class ParallelKernel
      */
     void shutdown();
 
-    /** Advance up to `quantum` cycles (clamped to the lookahead). */
-    void step(Cycle quantum);
-
     /** Total threads, including the coordinator. */
     int threads() const { return nThreads; }
-
-    /**
-     * Conservative lookahead in cycles: the minimum latency of any
-     * cross-domain pipe, i.e. min(linkLatency + 1, creditLatency).
-     * A quantum never exceeds it.
-     */
-    Cycle lookahead() const { return lookaheadCycles; }
 
     /** Stolen components currently awake across all fabric domains. */
     std::size_t fabricActive() const;
@@ -133,18 +127,21 @@ class ParallelKernel
 
     /**
      * Execution self-profile (always collected; the overhead is a few
-     * clock reads per quantum). Stable to read between quanta and
-     * after shutdown.
+     * clock reads per cycle). Stable to read between cycles and after
+     * shutdown.
      */
     const ParallelProfile &profile() const { return *prof; }
 
   private:
+    /** Simulator::step() runs the cycle body through step(). */
+    friend class Simulator;
+
     /** One worker thread's tile: components, active set, arrival gate. */
     struct Domain {
         std::vector<Ticking *> comps;
         /** Bit i = comps[i]; its wake calendar is the domain ring. */
         ActiveSet set;
-        /** Outboxes this domain pushed into during the quantum. */
+        /** Outboxes this domain pushed into during the cycle. */
         std::vector<ChannelOutbox *> dirty;
         QuantumGate done;
     };
@@ -164,14 +161,20 @@ class ParallelKernel
     void adopt(Ticking *comp, int domain);
     void classifyBoundaries(Network &net,
                             const std::vector<int> &domainByNode);
+    /**
+     * The current cycle's body: release the workers unless the fabric
+     * is quiescent, run the serial share, await the workers, merge.
+     * Simulator::step() then runs the end-of-cycle tail.
+     */
+    void step();
+
     void workerLoop(std::size_t d);
-    std::uint64_t sweepDomain(Domain &d, Cycle base, Cycle quantum);
+    std::uint64_t sweepDomain(Domain &d, Cycle now);
     void drainOutboxes();
 
     Simulator &sim;
     Network &net;
     int nThreads;
-    Cycle lookaheadCycles = 1;
 
     // deque, not vector: Domain holds a QuantumGate (atomics) and is
     // therefore immovable; deque grows without relocating elements.
@@ -181,10 +184,6 @@ class ParallelKernel
     std::vector<ChannelOutbox *> coordDirty;
     std::vector<StolenSlot> stolen;
     std::vector<std::thread> workers;
-
-    /** Quantum bounds, published to workers by the `go` release. */
-    Cycle quantumBase = 0;
-    Cycle quantumLen = 1;
 
     QuantumGate go;
     std::uint64_t seq = 0;

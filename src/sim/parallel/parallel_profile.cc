@@ -15,12 +15,8 @@ constexpr std::size_t BARRIER_BINS = 64;
 
 } // namespace
 
-ParallelProfile::ParallelProfile(int threads, Cycle lookahead)
-    : nThreads(threads), lookaheadCycles(lookahead),
-      // Quantum lengths live in [1, lookahead]; width-1 bins resolve
-      // every length exactly (the clamp to >= 8 costs nothing).
-      quantumHist(1, std::max<std::size_t>(
-                         static_cast<std::size_t>(lookahead) + 1, 8)),
+ParallelProfile::ParallelProfile(int threads)
+    : nThreads(threads),
       slots(static_cast<std::size_t>(threads > 1 ? threads - 1 : 0)),
       barrierWaitHist(BARRIER_BIN_NS, BARRIER_BINS)
 {
@@ -49,11 +45,9 @@ ParallelProfile::workerQuantum(std::size_t w, std::uint64_t wait_ns,
 }
 
 void
-ParallelProfile::onQuantum(Cycle len, bool barrier)
+ParallelProfile::onQuantum(bool barrier)
 {
     ++quanta;
-    cyclesStepped += len;
-    quantumHist.add(len);
     if (barrier)
         ++barriers;
     else
@@ -99,15 +93,11 @@ ParallelProfile::toJson() const
 {
     JsonValue doc = JsonValue::object();
     doc["threads"] = JsonValue(nThreads);
-    doc["lookahead"] =
-        JsonValue(static_cast<std::uint64_t>(lookaheadCycles));
     doc["quanta"] = JsonValue(quanta);
     doc["barriers"] = JsonValue(barriers);
     doc["barriers_elided"] = JsonValue(barriersElided);
-    doc["cycles_stepped"] = JsonValue(cyclesStepped);
     doc["drained_flits"] = JsonValue(drainedFlits);
     doc["drained_credits"] = JsonValue(drainedCredits);
-    doc["quantum_cycles"] = StatsRegistry::histogramToJson(quantumHist);
     JsonValue &ticks = doc["worker_ticks"];
     ticks = JsonValue::array();
     for (const WorkerSlot &s : slots)

@@ -2,19 +2,20 @@
  * @file
  * Coordinator/worker quantum gate for the parallel kernel.
  *
- * The parallel kernel advances the fabric domains in lockstep quanta:
- * the coordinator publishes a quantum (release), every worker sweeps
- * its domain and arrives (also release, on its own gate), and the
- * coordinator waits for all arrivals before merging boundary traffic.
+ * The parallel kernel advances the fabric domains in lockstep, one
+ * cycle per quantum: the coordinator publishes a quantum (release),
+ * every worker sweeps its domain and arrives (also release, on its own
+ * gate), and the coordinator waits for all arrivals before merging
+ * boundary traffic.
  * A gate is a monotonically increasing epoch counter; release stores
  * the new epoch, await blocks until the published epoch reaches the
- * requested one. All cross-thread data (quantum bounds, domain bitmaps,
+ * requested one. All cross-thread data (the clock, domain bitmaps,
  * outboxes, dirty-outbox lists, packet lifetime records) is plain memory
  * ordered exclusively by the release/acquire pairs on these epochs --
  * there is no other lock in the simulator.
  *
- * Waiters spin, yield, then park. Quanta are typically one simulated
- * cycle, a few microseconds of work, so a waiter that parked on the
+ * Waiters spin, yield, then park. A quantum is one simulated cycle, a
+ * few microseconds of work, so a waiter that parked on the
  * futex behind std::atomic::wait would pay a park/unpark round trip on
  * nearly every barrier. await() therefore spins on the epoch for up
  * to SPIN_ROUNDS rounds of cpuRelax() (about 40 us at ~19 ns per x86

@@ -17,7 +17,9 @@
  * event-queue firing, so run()/runUntil() fast-forward the clock across
  * the gap instead of spinning through empty cycles. Fast-forward is
  * cycle-accurate: the visited state trajectory is bit-identical to
- * naive per-cycle ticking (only the no-op cycles are elided).
+ * naive per-cycle ticking (only the no-op cycles are elided). Every
+ * executed cycle, serial, host-profiled or parallel, goes through
+ * step().
  */
 
 #ifndef INPG_SIM_SIMULATOR_HH
@@ -72,32 +74,17 @@ class Simulator
     void run(Cycle n);
 
     /**
-     * How runUntil() may treat the predicate across idle spans.
-     *
-     * EveryCycle (default, the seed semantics): the predicate is
-     * evaluated once per cycle, before the cycle executes, even while
-     * every component sleeps -- correct for predicates that read the
-     * clock (`sim.now() >= x`).
-     *
-     * StateChange: the predicate is a pure function of simulated state,
-     * which cannot change while the active set is empty and no event
-     * fires; idle spans are skipped in one jump without re-evaluating
-     * it. All protocol/workload predicates ("done", "held == n") are
-     * of this kind.
-     */
-    enum class PredicateMode {
-        EveryCycle,
-        StateChange,
-    };
-
-    /**
-     * Advance until the predicate returns true (checked once per cycle,
-     * before the cycle executes) or max_cycles elapse.
+     * Advance until the predicate returns true (checked once per
+     * executed cycle, before the cycle executes) or max_cycles elapse.
+     * The predicate must be a pure function of simulated state (as
+     * every "done" / "held == n" predicate is): it cannot change while
+     * the kernel is quiescent, so idle spans are skipped in one jump
+     * without re-evaluating it. A clock-reading predicate would be
+     * observed late.
      *
      * @return true if the predicate fired, false on timeout.
      */
-    bool runUntil(const std::function<bool()> &done, Cycle max_cycles,
-                  PredicateMode mode = PredicateMode::EveryCycle);
+    bool runUntil(const std::function<bool()> &done, Cycle max_cycles);
 
     /**
      * Disable/enable idle fast-forwarding (for A/B determinism checks;
@@ -117,8 +104,8 @@ class Simulator
     /**
      * Host-side wall-clock breakdown of where simulation time goes,
      * classified by tick-name prefix. Accumulated only while a profile
-     * is attached (setHostProfile); the unprofiled step() path is
-     * untouched.
+     * is attached (setHostProfile): the same sweep then ticks through
+     * a timing callable. Simulated state is identical either way.
      */
     struct HostPhaseProfile {
         double eventsSec = 0;  ///< EventQueue::runDue
@@ -126,11 +113,15 @@ class Simulator
         double nisSec = 0;     ///< ni%d ticks
         double dirsSec = 0;    ///< dir%d ticks
         double otherSec = 0;   ///< cores / workload / everything else
-        std::uint64_t profiledCycles = 0;
+        std::uint64_t profiledCycles = 0; ///< executed cycles
     };
 
-    /** Attach (or detach with nullptr) a phase-profile accumulator. */
-    void setHostProfile(HostPhaseProfile *p) { profile = p; }
+    /**
+     * Attach (or detach with nullptr) a phase-profile accumulator.
+     * Requires the serial kernel: per-tick clock reads mean nothing
+     * across threads.
+     */
+    void setHostProfile(HostPhaseProfile *p);
 
     /**
      * Attach (or detach with nullptr) the telemetry facade.
@@ -146,9 +137,9 @@ class Simulator
 
     /**
      * Attach (or detach with nullptr) a parallel kernel. While one is
-     * attached, step()/run()/runUntil() delegate cycle execution to
-     * its quantum stepper and component registration is rejected.
-     * Installed by ParallelKernel itself; see sim/parallel.
+     * attached, every cycle's body runs through it and component
+     * registration is rejected. Rejected while a host profile is
+     * attached. Installed by ParallelKernel itself; see sim/parallel.
      */
     void attachParallel(ParallelKernel *k);
 
@@ -165,7 +156,7 @@ class Simulator
     std::size_t numComponents() const { return slots.size(); }
 
   private:
-    /** Quantum stepper: shares the sweep internals (sim/parallel). */
+    /** Runs the coordinator's share of each cycle (sim/parallel). */
     friend class ParallelKernel;
     /** Tick-name-derived bucket of HostPhaseProfile. */
     enum class PhaseClass : std::uint8_t {
@@ -180,13 +171,25 @@ class Simulator
         PhaseClass phase = PhaseClass::Other;
     };
 
-    void stepProfiled();
+    /**
+     * The serial set's share of the current cycle: apply its timed
+     * wakes, fire due events, sweep it. The whole cycle body of the
+     * serial kernel, and the coordinator's under the parallel kernel.
+     * With a host profile attached, the event phase and every tick are
+     * timed.
+     */
+    void sweepSerial();
 
     /** Fire due events (feeding the kernel profile when attached). */
     void runEventPhase();
 
-    /** Sweep the serial active bitmap once at the current cycle. */
-    void sweepActive();
+    /**
+     * Jump the clock across an idle span ending at the event horizon
+     * or `limit`, whichever is first. False (clock untouched) when
+     * the current cycle must execute: fast-forward is off, the kernel
+     * is not quiescent, or an event is due now.
+     */
+    bool fastForward(Cycle limit);
 
     /** Active components including fabric domains. */
     std::size_t totalActive() const;

@@ -34,7 +34,7 @@ class ActiveSet
   public:
     /**
      * Calendar length in cycles: a power of two larger than every
-     * timed-wake distance (Channel asserts its flit delay fits).
+     * timed-wake distance (link.hh asserts the flit delay fits).
      */
     static constexpr Cycle WAKE_RING = 8;
 
@@ -113,10 +113,34 @@ class ActiveSet
     /** True when nothing is active and no timed wake is pending. */
     bool quiescent() const { return count == 0 && pendingWords == 0; }
 
-    std::size_t numWords() const { return bits.size(); }
-
-    /** Live bitmap word (the sweeps re-read it before every pick). */
-    std::uint64_t word(std::size_t w) const { return bits[w]; }
+    /**
+     * Call `tick(i)` for every active slot i, in ascending slot order:
+     * the one sweep of the serial kernel, the host-profiled kernel and
+     * every parallel domain. The live word is re-read before every
+     * pick, so a tick that wakes a HIGHER slot makes it run this same
+     * sweep, while the cursor mask retires the picked bit and every
+     * bit below it, so a backward wake waits for the next cycle: each
+     * slot is examined once, with its state as of the moment the scan
+     * reaches it. Components only ever suspend themselves, so a bit
+     * the cursor has not reached can vanish only with its tick already
+     * unnecessary. A template, not std::function, so the unprofiled
+     * callable inlines into the loop.
+     */
+    template <typename Tick>
+    void
+    sweep(Tick &&tick) const
+    {
+        for (std::size_t w = 0; w < bits.size(); ++w) {
+            std::uint64_t eligible = ~std::uint64_t{0};
+            std::uint64_t m;
+            while ((m = bits[w] & eligible) != 0) {
+                const std::size_t b =
+                    static_cast<std::size_t>(std::countr_zero(m));
+                eligible &= ~std::uint64_t{0} << 1 << b;
+                tick((w << 6) + b);
+            }
+        }
+    }
 
     bool
     isActive(std::size_t idx) const

@@ -112,19 +112,6 @@ TEST(TablePrinter, CsvEscapesAndSkipsSeparators)
     EXPECT_EQ(csv, "a,b\nplain,\"has,comma\"\n\"quo\"\"te\",x\n");
 }
 
-TEST(SystemConfig, RoutingOverride)
-{
-    Config o;
-    o.loadString("routing = yx\n");
-    SystemConfig c;
-    c.applyOverrides(o);
-    EXPECT_EQ(c.noc.routing, RoutingKind::YX);
-    Config bad;
-    bad.loadString("routing = zigzag\n");
-    SystemConfig c2;
-    EXPECT_THROW(c2.applyOverrides(bad), FatalError);
-}
-
 // ---------------------------------------------------------------------
 // SynthesisModel
 // ---------------------------------------------------------------------

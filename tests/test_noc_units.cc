@@ -85,31 +85,6 @@ TEST(XYRouting, EveryPairMakesMonotoneProgress)
     }
 }
 
-TEST(YXRouting, TransposedDimensionOrder)
-{
-    MeshShape m(5, 6);
-    YXRouting yx(m);
-    for (NodeId s = 0; s < m.numNodes(); ++s) {
-        for (NodeId d = 0; d < m.numNodes(); ++d) {
-            NodeId here = s;
-            int hops = 0;
-            bool seen_x_move = false;
-            while (here != d) {
-                Direction dir = yx.route(here, d);
-                if (dir == Direction::East || dir == Direction::West)
-                    seen_x_move = true;
-                else
-                    ASSERT_FALSE(seen_x_move)
-                        << "Y move after X move (not YX order)";
-                here = m.neighbor(here, dir);
-                ASSERT_NE(here, INVALID_NODE);
-                ASSERT_LE(++hops, m.hopDistance(s, d));
-            }
-            EXPECT_EQ(hops, m.hopDistance(s, d));
-        }
-    }
-}
-
 TEST(Directions, OppositeIsInvolution)
 {
     for (Direction d : {Direction::North, Direction::East,

@@ -38,8 +38,8 @@ TEST(DelayLine, RejectsZeroLatency)
 
 TEST(Channel, FlitDelayIncludesSwitchTraversal)
 {
-    // Channel flit delay = linkLatency + 1 (the sender's ST stage).
-    Channel ch(1);
+    // Channel flit delay = the sender's ST stage + the 1-cycle link.
+    Channel ch;
     EXPECT_EQ(ch.flits.linkLatency(), 2u);
     EXPECT_EQ(ch.credits.linkLatency(), 1u);
 }

