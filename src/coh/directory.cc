@@ -106,8 +106,12 @@ Directory::tick(Cycle now)
         suspendSelf();
         return;
     }
-    if (now < busyUntil)
-        return; // stay awake: nothing will wake us at busyUntil
+    if (now < busyUntil) {
+        // The bank serves its next request at busyUntil; nothing else
+        // can happen before then.
+        suspendUntil(busyUntil, now);
+        return;
+    }
 
     CohMsgPtr msg = queue.front();
     queue.pop_front();

@@ -47,14 +47,14 @@ class BigRouter : public Router
     void generatorPhase(Cycle now) override;
 
     /**
-     * Live barriers age by TTL each cycle; the expiry statistics are
-     * per-cycle observable, so stay in the active set until the table
-     * drains.
+     * Idle barriers expire by TTL, and the expiry statistics are
+     * per-cycle observable: with nothing buffered, sleep until the
+     * table's next expiry, which maintain() then runs on time.
      */
-    bool
-    generatorIdle() const override
+    Cycle
+    nextTimedWork() const override
     {
-        return gen.barrierTable().numBarriers() == 0;
+        return gen.barrierTable().nextExpiry();
     }
 
   private:

@@ -37,10 +37,10 @@ LockBarrierTable::eraseSlot(std::size_t slot)
 void
 LockBarrierTable::recomputeNextExpiry()
 {
-    nextExpiry = CYCLE_NEVER;
+    nextExpiryCycle = CYCLE_NEVER;
     for (const auto &b : barriers)
         if (b.eis.empty())
-            nextExpiry = std::min(nextExpiry, b.idleSince + ttl);
+            nextExpiryCycle = std::min(nextExpiryCycle, b.idleSince + ttl);
 }
 
 bool
@@ -65,7 +65,7 @@ LockBarrierTable::createBarrier(Addr addr, Cycle now)
     b.idleSince = now;
     slotIndex[addr] = barriers.size();
     barriers.push_back(std::move(b));
-    nextExpiry = std::min(nextExpiry, now + ttl);
+    nextExpiryCycle = std::min(nextExpiryCycle, now + ttl);
     ++stats.counter("barriers_created");
     return true;
 }
@@ -111,7 +111,7 @@ LockBarrierTable::completeEi(Addr addr, CoreId core, Cycle now)
     ++stats.counter("eis_completed");
     if (b->eis.empty()) {
         b->idleSince = now; // TTL countdown restarts from full value
-        nextExpiry = std::min(nextExpiry, now + ttl);
+        nextExpiryCycle = std::min(nextExpiryCycle, now + ttl);
     }
     return true;
 }
@@ -119,7 +119,7 @@ LockBarrierTable::completeEi(Addr addr, CoreId core, Cycle now)
 void
 LockBarrierTable::expire(Cycle now)
 {
-    if (now < nextExpiry)
+    if (now < nextExpiryCycle)
         return; // no idle barrier can have timed out yet
     for (std::size_t i = 0; i < barriers.size();) {
         if (barriers[i].eis.empty() &&

@@ -76,6 +76,16 @@ class LockBarrierTable
     std::size_t numBarriers() const { return barriers.size(); }
 
     /**
+     * Lower bound on the earliest cycle any idle barrier can expire
+     * (CYCLE_NEVER: none can); expire() returns immediately before it.
+     * May be stale-low (a barrier that regained EI entries keeps its
+     * old candidate), in which case the full scan removes nothing and
+     * recomputes it. The table changes only through its own calls, so
+     * until one of them, no expiry happens before this cycle.
+     */
+    Cycle nextExpiry() const { return nextExpiryCycle; }
+
+    /**
      * True if a barrier entry exists for the lock address, without
      * running TTL expiry (const view; `hasBarrier` expires first).
      */
@@ -121,13 +131,8 @@ class LockBarrierTable
     /** Lock address -> slot in `barriers` (maintained on swap-erase). */
     FlatHashMap<Addr, std::size_t> slotIndex;
 
-    /**
-     * Lower bound on the earliest cycle any idle barrier can expire;
-     * expire() returns immediately before it. May be stale-low (a
-     * barrier that regained EI entries keeps its old candidate), in
-     * which case the full scan removes nothing and recomputes it.
-     */
-    Cycle nextExpiry = CYCLE_NEVER;
+    /** See nextExpiry(). */
+    Cycle nextExpiryCycle = CYCLE_NEVER;
 };
 
 } // namespace inpg

@@ -67,9 +67,6 @@ struct Flit {
     /** VC the flit occupies at the current hop (set per hop). */
     VcId vc = INVALID_VC;
 
-    /** Cycle the flit was written into the current input buffer. */
-    Cycle bufferedAt = 0;
-
     std::string toString() const;
 
   private:

@@ -22,7 +22,6 @@ FlitPool::make(PacketPtr pkt, FlitType type, int seq)
         flit->type = type;
         flit->seq = seq;
         flit->vc = INVALID_VC;
-        flit->bufferedAt = 0;
     } else {
         flit = new Flit(std::move(pkt), type, seq);
     }

@@ -1,94 +1,89 @@
 /**
  * @file
- * Fixed-latency point-to-point links for flits and credits.
+ * Point-to-point channels between clocked NoC components.
  *
- * Links are the only channel between clocked NoC components; they latch
- * items with a delivery cycle in the future, making intra-cycle tick
- * order unobservable and hop timing explicit.
+ * A channel is the only path between two NoC components, and one hop
+ * touches only the memory of the two it joins. The consumer owns the
+ * channel: a flit pushed at cycle t waits in the consumer's delivery
+ * slot for cycle t + FLIT_DELAY, with that port's bit set in the
+ * consumer's due mask for the slot, and the push wakes the consumer
+ * for that cycle. A credit returned at cycle t lands as a stamped
+ * counter in the producer's OutputUnit and counts from
+ * t + CREDIT_DELAY. Both delays are at least 1, so intra-cycle tick
+ * order is unobservable and hop timing is explicit.
  */
 
 #ifndef INPG_NOC_LINK_HH
 #define INPG_NOC_LINK_HH
 
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "noc/credit.hh"
 #include "noc/flit.hh"
-#include "noc/ring_buffer.hh"
+#include "noc/output_unit.hh"
 #include "sim/ticking.hh"
 
 namespace inpg {
 
 /**
- * FIFO pipe delivering items `latency` cycles after push.
- *
- * Items pushed at cycle t become poppable at cycle t + latency. Pushes
- * within one cycle stay ordered.
- *
- * Storage is a pow2 RingBuffer: this queue sits on every link hop, so
- * ready()/pop() must be a flat-array index, and a deque's lazy chunk
- * allocation on growth is exactly the steady-state heap traffic the
- * flit path forbids. The initial capacity covers the typical in-flight
- * window (latency + a burst of same-cycle pushes); deeper transients
- * grow the ring once and never allocate again.
+ * Flit delay of one hop in cycles: the sender's switch traversal (ST)
+ * plus the 1-cycle link, completing the paper's 2-stage router +
+ * 1-cycle link hop timing.
  */
-template <typename T>
-class DelayLine
+constexpr Cycle FLIT_DELAY = 2;
+
+/**
+ * Delivery slots per channel: a flit for cycle c waits in slot
+ * c % FLIT_SLOTS. A power of two above FLIT_DELAY, so the consumer
+ * takes a slot's flit (at its delivery cycle) before the push that
+ * reuses the slot.
+ */
+constexpr Cycle FLIT_SLOTS = 4;
+
+static_assert(std::has_single_bit(FLIT_SLOTS) && FLIT_DELAY < FLIT_SLOTS,
+              "delivery slots must outlast the flit delay");
+static_assert(FLIT_DELAY < ActiveSet::WAKE_RING,
+              "the flit delay must fit the wake calendar");
+
+/** Delivery slot of cycle `c`. */
+inline std::size_t
+flitSlot(Cycle c)
 {
-  public:
-    explicit DelayLine(Cycle link_latency) : latency(link_latency)
-    {
-        INPG_ASSERT(link_latency >= 1, "link latency must be >= 1");
-    }
+    return static_cast<std::size_t>(c & (FLIT_SLOTS - 1));
+}
 
-    /** Enqueue an item at cycle `now`. */
-    void
-    push(T item, Cycle now)
-    {
-        queue.push_back({now + latency, std::move(item)});
-    }
+/**
+ * A consumer's due-port masks, one per delivery slot: bit p of mask
+ * flitSlot(c) is set while a flit for cycle c waits on input port p.
+ */
+using DueMasks = std::array<std::uint32_t, FLIT_SLOTS>;
 
-    /** True if an item is deliverable at cycle `now`. */
-    bool
-    ready(Cycle now) const
-    {
-        return !queue.empty() && queue.front().first <= now;
-    }
-
-    /** Pop the next deliverable item; ready(now) must be true. */
-    T
-    pop(Cycle now)
-    {
-        INPG_ASSERT(ready(now), "pop on non-ready link");
-        T item = std::move(queue.front().second);
-        queue.pop_front();
-        return item;
-    }
-
-    /** Items in flight (delivered or not). */
-    std::size_t size() const { return queue.size(); }
-
-    bool empty() const { return queue.empty(); }
-
-    Cycle linkLatency() const { return latency; }
-
-  private:
-    Cycle latency;
-    RingBuffer<std::pair<Cycle, T>, 8> queue;
-};
+/** True while a flit waits in any delivery slot. */
+inline bool
+anyDue(const DueMasks &due)
+{
+    std::uint32_t any = 0;
+    for (std::uint32_t m : due)
+        any |= m;
+    return any != 0;
+}
 
 /**
  * Diversion mailbox for a cross-domain channel (parallel kernel
  * only). While installed on a Channel, pushes are appended here --
  * stamped with their push cycle, FIFO per direction -- instead of
- * entering the DelayLines, so a producer on one thread never touches
- * the consumer's state mid-cycle. The coordinator drains the box at
- * the cycle's barrier by re-pushing with the original cycles, which
- * reproduces the serial delivery schedule exactly.
+ * reaching the consumer's slots or the producer's credit counters, so
+ * a producer on one thread never touches the other endpoint's state
+ * mid-cycle. The coordinator drains the box at the cycle's barrier
+ * through Channel::deliverFlit and Channel::landCredit with the
+ * original cycles, which reproduces the serial delivery schedule
+ * exactly.
  *
  * The two directions have disjoint single writers: flits are pushed
  * by the credit sink's domain, credits by the flit sink's domain, and
@@ -102,7 +97,7 @@ struct ChannelOutbox {
     /** Boundary index; the merge drains boxes in this order. */
     std::size_t index = 0;
     std::vector<std::pair<Cycle, FlitPtr>> flits;
-    std::vector<std::pair<Cycle, Credit>> credits;
+    std::vector<std::pair<Cycle, VcId>> credits;
     /** Dirty lists of the flit producer's and credit producer's domains. */
     std::vector<ChannelOutbox *> *flitDirty = nullptr;
     std::vector<ChannelOutbox *> *creditDirty = nullptr;
@@ -116,49 +111,57 @@ struct ChannelOutbox {
     }
 
     void
-    pushCredit(Credit credit, Cycle now)
+    pushCredit(VcId vc, Cycle now)
     {
         if (credits.empty())
             creditDirty->push_back(this);
-        credits.emplace_back(now, credit);
+        credits.emplace_back(now, vc);
     }
 
     bool empty() const { return flits.empty() && credits.empty(); }
 };
 
 /**
- * Flit delay of one hop in cycles: the sender's switch traversal (ST)
- * plus the 1-cycle link, completing the paper's 2-stage router +
- * 1-cycle link hop timing.
- */
-constexpr Cycle FLIT_DELAY = 2;
-
-/** Credit return delay in cycles. */
-constexpr Cycle CREDIT_DELAY = 1;
-
-static_assert(FLIT_DELAY < ActiveSet::WAKE_RING,
-              "the flit delay must fit the wake calendar");
-
-/**
- * One direction of a router-to-router (or NI-to-router) channel:
- * a flit pipe downstream (FLIT_DELAY) and a credit pipe upstream
- * (CREDIT_DELAY). Both delays are at least 1, which is what lets the
- * parallel kernel merge cross-domain traffic at the end of each cycle.
+ * One direction of a router-to-router (or NI-to-router) channel, owned
+ * by its flit consumer: the delivery slots of one input port
+ * downstream, and a reference to the OutputUnit upstream that its
+ * credits land in. A channel carries at most one flit per cycle.
  */
 class Channel
 {
   public:
-    Channel() : flits(FLIT_DELAY), credits(CREDIT_DELAY) {}
+    Channel() = default;
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
 
     /**
-     * Register the component that drains each pipe. Senders must inject
-     * through pushFlit()/pushCredit(): a flit push wakes a sleeping
-     * flit sink for the cycle the flit becomes deliverable.
+     * Bind the owning consumer (construction time): the component
+     * woken for each delivery, its due masks and the input port this
+     * channel feeds.
      */
-    void setFlitSink(Ticking *sink) { flitSink = sink; }
-    void setCreditSink(Ticking *sink) { creditSink = sink; }
+    void
+    bindConsumer(Ticking *sink, DueMasks *due_masks, int port)
+    {
+        INPG_ASSERT(port >= 0 && port < 32, "bad input port %d", port);
+        flitSink = sink;
+        due = due_masks;
+        portBit = 1u << static_cast<std::uint32_t>(port);
+    }
 
-    /** Registered consumers (parallel-kernel domain classification). */
+    /**
+     * Attach the producer: the component that drives the flits and
+     * the OutputUnit its returned credits land in.
+     */
+    void
+    connectProducer(Ticking *producer, OutputUnit *unit)
+    {
+        INPG_ASSERT(!creditUnit, "channel connected twice");
+        creditSink = producer;
+        creditUnit = unit;
+        unit->connect(this);
+    }
+
+    /** Registered endpoints (parallel-kernel domain classification). */
     Ticking *flitSinkComponent() const { return flitSink; }
     Ticking *creditSinkComponent() const { return creditSink; }
 
@@ -170,8 +173,8 @@ class Channel
     void setOutbox(ChannelOutbox *box) { outbox = box; }
 
     /**
-     * Inject a flit and wake the downstream consumer for its delivery
-     * cycle; the consumer may sleep until then.
+     * Inject a flit at cycle `now`; the consumer may sleep until it
+     * becomes deliverable at now + FLIT_DELAY.
      */
     void
     pushFlit(FlitPtr flit, Cycle now)
@@ -180,32 +183,62 @@ class Channel
             outbox->pushFlit(std::move(flit), now);
             return;
         }
-        flits.push(std::move(flit), now);
-        if (flitSink)
-            flitSink->sleepToken().wakeAt(now + FLIT_DELAY);
+        deliverFlit(std::move(flit), now);
     }
 
     /**
-     * Latch a credit. It wakes nobody: the upstream consumer reads
-     * credits only while awake and drains every ready one at the
-     * start of each tick (see Ticking's activity contract).
+     * Store a flit pushed at `now` in the slot of its delivery cycle,
+     * mark the port due there and wake the consumer for that cycle.
      */
     void
-    pushCredit(Credit credit, Cycle now)
+    deliverFlit(FlitPtr flit, Cycle now)
     {
-        if (outbox) {
-            outbox->pushCredit(credit, now);
-            return;
-        }
-        credits.push(credit, now);
+        const Cycle at = now + FLIT_DELAY;
+        FlitPtr &slot = slots[flitSlot(at)];
+        INPG_ASSERT(!slot, "second flit on one channel in cycle %llu",
+                    static_cast<unsigned long long>(now));
+        slot = std::move(flit);
+        (*due)[flitSlot(at)] |= portBit;
+        flitSink->sleepToken().wakeAt(at);
     }
 
-    DelayLine<FlitPtr> flits;
-    DelayLine<Credit> credits;
+    /**
+     * Take the flit deliverable at `now`; the consumer calls this for
+     * the ports whose due bit it found set (and cleared).
+     */
+    FlitPtr
+    takeFlit(Cycle now)
+    {
+        FlitPtr &slot = slots[flitSlot(now)];
+        INPG_ASSERT(slot, "no flit due at cycle %llu",
+                    static_cast<unsigned long long>(now));
+        return std::move(slot);
+    }
+
+    /**
+     * Return a credit for `vc` at cycle `now`. It wakes nobody (see
+     * Ticking's activity contract).
+     */
+    void
+    pushCredit(VcId vc, Cycle now)
+    {
+        if (outbox) {
+            outbox->pushCredit(vc, now);
+            return;
+        }
+        landCredit(vc, now);
+    }
+
+    /** Land a credit returned at `now` in the producer's OutputUnit. */
+    void landCredit(VcId vc, Cycle now) { creditUnit->land(vc, now); }
 
   private:
+    std::array<FlitPtr, FLIT_SLOTS> slots;
     Ticking *flitSink = nullptr;
+    DueMasks *due = nullptr;
+    std::uint32_t portBit = 0;
     Ticking *creditSink = nullptr;
+    OutputUnit *creditUnit = nullptr;
     ChannelOutbox *outbox = nullptr;
 };
 

@@ -23,31 +23,31 @@ Network::Network(const NocConfig &config, Simulator &sim,
         nis.push_back(std::make_unique<NetworkInterface>(id, cfg, sim));
     }
 
-    // Local port wiring: NI <-> router.
+    // Every channel belongs to its flit consumer; the network lists
+    // them in wiring order. Local port wiring: NI <-> router.
     for (NodeId id = 0; id < n; ++id) {
-        Channel *to_router = newChannel();
-        Channel *from_router = newChannel();
-        routers[static_cast<std::size_t>(id)]->connectInput(
-            Direction::Local, to_router);
-        routers[static_cast<std::size_t>(id)]->connectOutput(
-            Direction::Local, from_router);
-        nis[static_cast<std::size_t>(id)]->connect(to_router, from_router);
+        Router &r = *routers[static_cast<std::size_t>(id)];
+        NetworkInterface &ni_ref = *nis[static_cast<std::size_t>(id)];
+        Channel &to_router = r.inputChannel(Direction::Local);
+        Channel &from_router = ni_ref.inputChannel();
+        ni_ref.connect(to_router);
+        r.connectOutput(Direction::Local, from_router);
+        channels.push_back(&to_router);
+        channels.push_back(&from_router);
     }
 
     // Inter-router wiring from the topology's canonical link list (the
     // mesh subset enumerates in the same order the old builder did, so
     // allChannels() is unchanged on meshes).
     for (const TopoLink &link : topo->links()) {
-        Channel *fwd = newChannel();
-        Channel *rev = newChannel();
-        routers[static_cast<std::size_t>(link.from)]->connectOutput(
-            link.dir, fwd);
-        routers[static_cast<std::size_t>(link.to)]->connectInput(
-            opposite(link.dir), fwd);
-        routers[static_cast<std::size_t>(link.to)]->connectOutput(
-            opposite(link.dir), rev);
-        routers[static_cast<std::size_t>(link.from)]->connectInput(
-            link.dir, rev);
+        Router &from = *routers[static_cast<std::size_t>(link.from)];
+        Router &to = *routers[static_cast<std::size_t>(link.to)];
+        Channel &fwd = to.inputChannel(opposite(link.dir));
+        Channel &rev = from.inputChannel(link.dir);
+        from.connectOutput(link.dir, fwd);
+        to.connectOutput(opposite(link.dir), rev);
+        channels.push_back(&fwd);
+        channels.push_back(&rev);
     }
 
     // Deterministic tick order: all routers, then all NIs.
@@ -55,13 +55,6 @@ Network::Network(const NocConfig &config, Simulator &sim,
         sim.addTicking(r.get());
     for (auto &ni_ptr : nis)
         sim.addTicking(ni_ptr.get());
-}
-
-Channel *
-Network::newChannel()
-{
-    channels.push_back(std::make_unique<Channel>());
-    return channels.back().get();
 }
 
 Router &
@@ -98,13 +91,10 @@ bool
 Network::quiescent() const
 {
     for (const auto &r : routers)
-        if (r->bufferedFlits() != 0)
+        if (r->bufferedFlits() != 0 || r->flitsDue())
             return false;
     for (const auto &ni_ptr : nis)
-        if (!ni_ptr->idle())
-            return false;
-    for (const auto &ch : channels)
-        if (!ch->flits.empty())
+        if (!ni_ptr->idle() || ni_ptr->flitsDue())
             return false;
     return true;
 }

@@ -99,10 +99,11 @@ class Network
     void setTelemetry(Telemetry *t);
 
     /**
-     * Every channel in construction order (stable across runs); the
-     * parallel kernel walks this to classify cross-domain boundaries.
+     * Every channel in wiring order (stable across runs), each owned by
+     * its flit consumer; the parallel kernel walks this to classify
+     * cross-domain boundaries.
      */
-    const std::vector<std::unique_ptr<Channel>> &
+    const std::vector<Channel *> &
     allChannels() const
     {
         return channels;
@@ -114,10 +115,8 @@ class Network
     std::unique_ptr<RoutingAlgorithm> routingAlgo;
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<std::unique_ptr<NetworkInterface>> nis;
-    std::vector<std::unique_ptr<Channel>> channels;
+    std::vector<Channel *> channels;
     PacketId nextPacketId = 0;
-
-    Channel *newChannel();
 };
 
 } // namespace inpg

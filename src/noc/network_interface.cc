@@ -1,5 +1,7 @@
 #include "noc/network_interface.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 #include "sim/simulator.hh"
 #include "telemetry/telemetry.hh"
@@ -21,17 +23,14 @@ NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config,
     packetLatencySample = &stats.sample("packet_latency");
     injectQueues.resize(static_cast<std::size_t>(cfg.numVnets));
     reassembly.resize(static_cast<std::size_t>(cfg.totalVcs()));
+    rxChannel.bindConsumer(this, &due, 0);
 }
 
 void
-NetworkInterface::connect(Channel *to_router, Channel *from_router)
+NetworkInterface::connect(Channel &to_router)
 {
-    INPG_ASSERT(to_router && from_router, "NI %d: null channel", id);
-    txChannel = to_router;
-    rxChannel = from_router;
-    routerPort.connect(to_router);
-    to_router->setCreditSink(this);
-    from_router->setFlitSink(this);
+    txChannel = &to_router;
+    to_router.connectProducer(this, &routerPort);
 }
 
 void
@@ -74,69 +73,57 @@ NetworkInterface::idle() const
 void
 NetworkInterface::tick(Cycle now)
 {
-    drainCredits(now);
     ejectFlits(now);
     allocateInjectVcs(now);
     injectOneFlit(now);
     // Nothing queued, serializing or reassembling: every tick is a
     // no-op until the next sendPacket() or until an inbound flit is
     // deliverable (its push wakes us for that cycle). Returned credits
-    // wait in the channel; injection reads them only after a wake, and
-    // drainCredits() takes them all in first.
+    // land in routerPort without a tick.
     if (idle())
         suspendSelf();
 }
 
 void
-NetworkInterface::drainCredits(Cycle now)
-{
-    if (!txChannel)
-        return;
-    while (txChannel->credits.ready(now))
-        routerPort.receiveCredit(txChannel->credits.pop(now));
-}
-
-void
 NetworkInterface::ejectFlits(Cycle now)
 {
-    if (!rxChannel)
+    // At most one flit per cycle arrives on the one receive channel.
+    if (std::exchange(due[flitSlot(now)], 0) == 0)
         return;
-    while (rxChannel->flits.ready(now)) {
-        FlitPtr flit = rxChannel->flits.pop(now);
-        INPG_ASSERT(servesNode(flit->packet->dst),
-                    "NI %d ejected packet destined to %d", id,
-                    flit->packet->dst);
-        const VcId vc = flit->vc;
-        const bool tail = isTailFlit(flit->type);
-        PacketPtr pkt = tail ? flit->packet : nullptr;
-        auto &buf = reassembly[static_cast<std::size_t>(vc)];
-        buf.push_back(std::move(flit));
-        ++reassemblingFlits;
-        // The NI drains its buffers instantly; credit back every flit.
-        rxChannel->pushCredit(Credit{vc, tail}, now);
-        if (tail) {
-            INPG_ASSERT(static_cast<int>(buf.size()) == pkt->numFlits,
-                        "packet %llu reassembled with %zu of %d flits",
-                        static_cast<unsigned long long>(pkt->id),
-                        buf.size(), pkt->numFlits);
-            reassemblingFlits -= buf.size();
-            buf.clear();
-            ++*packetsDeliveredCtr;
-            packetLatencySample->add(
-                static_cast<double>(now - pkt->injectCycle));
-            if (Telemetry *t = sim.telemetry()) {
-                if (t->packets)
-                    t->packets->onPacketEjected(*pkt, now);
-                if (t->recorder)
-                    t->recorder->record(
-                        FrKind::NiEject, now, id, pkt->id,
-                        static_cast<std::uint64_t>(pkt->src));
-            }
-            const auto sink =
-                static_cast<std::size_t>(pkt->dst - baseNode);
-            if (deliver[sink])
-                deliver[sink](pkt, now);
+    FlitPtr flit = rxChannel.takeFlit(now);
+    INPG_ASSERT(servesNode(flit->packet->dst),
+                "NI %d ejected packet destined to %d", id,
+                flit->packet->dst);
+    const VcId vc = flit->vc;
+    const bool tail = isTailFlit(flit->type);
+    PacketPtr pkt = tail ? flit->packet : nullptr;
+    auto &buf = reassembly[static_cast<std::size_t>(vc)];
+    buf.push_back(std::move(flit));
+    ++reassemblingFlits;
+    // The NI drains its buffers instantly; credit back every flit.
+    rxChannel.pushCredit(vc, now);
+    if (tail) {
+        INPG_ASSERT(static_cast<int>(buf.size()) == pkt->numFlits,
+                    "packet %llu reassembled with %zu of %d flits",
+                    static_cast<unsigned long long>(pkt->id),
+                    buf.size(), pkt->numFlits);
+        reassemblingFlits -= buf.size();
+        buf.clear();
+        ++*packetsDeliveredCtr;
+        packetLatencySample->add(
+            static_cast<double>(now - pkt->injectCycle));
+        if (Telemetry *t = sim.telemetry()) {
+            if (t->packets)
+                t->packets->onPacketEjected(*pkt, now);
+            if (t->recorder)
+                t->recorder->record(
+                    FrKind::NiEject, now, id, pkt->id,
+                    static_cast<std::uint64_t>(pkt->src));
         }
+        const auto sink =
+            static_cast<std::size_t>(pkt->dst - baseNode);
+        if (deliver[sink])
+            deliver[sink](pkt, now);
     }
 }
 
@@ -187,7 +174,7 @@ NetworkInterface::injectOneFlit(Cycle now)
         if (i >= n)
             i -= n;
         InFlight &fl = inflight[i];
-        if (routerPort.credits(fl.vc) <= 0)
+        if (routerPort.credits(fl.vc, now) <= 0)
             continue;
 
         PacketPtr pkt = fl.pkt;
@@ -208,7 +195,7 @@ NetworkInterface::injectOneFlit(Cycle now)
             if (PacketLifetime *life = pkt->lifetime)
                 life->entered = now;
         }
-        routerPort.decrementCredit(fl.vc);
+        routerPort.decrementCredit(fl.vc, now);
         txChannel->pushFlit(std::move(flit), now);
         ++*flitsSentCtr;
 

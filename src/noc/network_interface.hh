@@ -48,12 +48,16 @@ class NetworkInterface : public Ticking
                      const Simulator &sim);
 
     /**
-     * @param to_router   channel whose flit line the NI drives
-     *                    (credits return to the NI on it)
-     * @param from_router channel whose flit line feeds the NI
-     *                    (the NI returns credits on it)
+     * Drive `to_router` (the router's local input channel; credits
+     * return to the NI on it).
      */
-    void connect(Channel *to_router, Channel *from_router);
+    void connect(Channel &to_router);
+
+    /**
+     * The channel feeding the NI from its router, owned by the NI (it
+     * returns credits on it).
+     */
+    Channel &inputChannel() { return rxChannel; }
 
     /** Register the packet sink for one served node (tile demux). */
     void
@@ -91,6 +95,9 @@ class NetworkInterface : public Ticking
     /** True when no packet is queued, serializing, or reassembling. */
     bool idle() const;
 
+    /** True while a flit waits in the receive channel for delivery. */
+    bool flitsDue() const { return anyDue(due); }
+
     /**
      * Endpoint state for the hang report: per-vnet inject-queue
      * depths, packets mid-serialization, reassembly occupancy.
@@ -100,7 +107,6 @@ class NetworkInterface : public Ticking
     StatGroup stats;
 
   private:
-    void drainCredits(Cycle now);
     void ejectFlits(Cycle now);
     void allocateInjectVcs(Cycle now);
     void injectOneFlit(Cycle now);
@@ -116,7 +122,10 @@ class NetworkInterface : public Ticking
     std::vector<DeliverFn> deliver;
 
     Channel *txChannel = nullptr;
-    Channel *rxChannel = nullptr;
+    Channel rxChannel;
+
+    /** Due masks of rxChannel (bit 0), one per delivery slot. */
+    DueMasks due{};
 
     /** Mirror of the router's local input port VC/credit state. */
     OutputUnit routerPort;

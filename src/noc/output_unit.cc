@@ -1,17 +1,20 @@
 #include "noc/output_unit.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace inpg {
 
-OutputUnit::OutputUnit(int num_vcs, int vc_depth) : depth(vc_depth)
+OutputUnit::OutputUnit(int num_vcs, int vc_depth)
+    : vcs(num_vcs), depth(vc_depth)
 {
     INPG_ASSERT(num_vcs > 0 && vc_depth > 0,
                 "bad output unit shape: %d VCs x %d credits", num_vcs,
                 vc_depth);
-    INPG_ASSERT(num_vcs <= 32, "busy mask holds at most 32 VCs, got %d",
-                num_vcs);
-    creditArr.resize(static_cast<std::size_t>(num_vcs), vc_depth);
+    INPG_ASSERT(num_vcs <= MAX_VCS, "busy mask holds at most %d VCs, got %d",
+                MAX_VCS, num_vcs);
+    settled.fill(vc_depth);
 }
 
 void
@@ -32,21 +35,43 @@ OutputUnit::freeVc(VcId vc)
 }
 
 void
-OutputUnit::decrementCredit(VcId vc)
+OutputUnit::settle()
+{
+    for (std::uint32_t m = landingMask; m; m &= m - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(m));
+        settled[i] += landing[i];
+        landing[i] = 0;
+    }
+    landingMask = 0;
+}
+
+void
+OutputUnit::decrementCredit(VcId vc, Cycle now)
 {
     checkVc(vc);
-    int &c = creditArr[static_cast<std::size_t>(vc)];
+    if (landedAt + CREDIT_DELAY <= now)
+        settle();
+    std::int32_t &c = settled[static_cast<std::size_t>(vc)];
     INPG_ASSERT(c > 0, "credit underflow on VC %d", vc);
     --c;
 }
 
 void
-OutputUnit::receiveCredit(const Credit &credit)
+OutputUnit::land(VcId vc, Cycle now)
 {
-    checkVc(credit.vc);
-    int &c = creditArr[static_cast<std::size_t>(credit.vc)];
-    ++c;
-    INPG_ASSERT(c <= depth, "credit overflow on VC %d", credit.vc);
+    checkVc(vc);
+    INPG_ASSERT(now >= landedAt, "credit landed at %llu after one at %llu",
+                static_cast<unsigned long long>(now),
+                static_cast<unsigned long long>(landedAt));
+    if (now != landedAt) {
+        settle();
+        landedAt = now;
+    }
+    const auto i = static_cast<std::size_t>(vc);
+    ++landing[i];
+    landingMask |= bit(vc);
+    INPG_ASSERT(settled[i] + landing[i] <= depth, "credit overflow on VC %d",
+                vc);
 }
 
 VcId

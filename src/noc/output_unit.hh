@@ -7,28 +7,43 @@
 #ifndef INPG_NOC_OUTPUT_UNIT_HH
 #define INPG_NOC_OUTPUT_UNIT_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "noc/credit.hh"
-#include "noc/link.hh"
 
 namespace inpg {
+
+class Channel;
+
+/** Credit return delay in cycles. */
+constexpr Cycle CREDIT_DELAY = 1;
 
 /**
  * Tracks, for each VC of the downstream input port, whether it is bound
  * to an in-flight packet and how many buffer slots remain.
  *
- * Storage is structure-of-arrays: a packed busy bitmask plus a flat
- * credit array, probed per candidate VC in the VA and SA stages every
- * cycle. The mask makes isVcFree() a single bit test and lets the
- * free-VC scan skip an entirely-busy vnet range in one compare.
+ * Storage is fixed-width structure-of-arrays, inline in the owner: a
+ * packed busy bitmask plus per-VC credit counts, probed per candidate
+ * VC in the VA and SA stages every cycle. The mask makes isVcFree() a
+ * single bit test and lets the free-VC scan skip an entirely-busy vnet
+ * range in one compare.
+ *
+ * Returned credits are stamped counters, not queued tokens: the
+ * downstream consumer lands a credit by bumping `landing[vc]` and
+ * stamping the unit with the landing cycle, and a read at cycle `now`
+ * counts the landings only from landing cycle + CREDIT_DELAY. Landings
+ * of an older cycle fold into `settled` on the next landing or
+ * decrement. So credits need no per-tick drain, and a producer that
+ * slept through a landing reads the same count as one that ticked.
  */
 class OutputUnit
 {
   public:
+    /** VCs per port: the width of the busy mask. */
+    static constexpr int MAX_VCS = 32;
+
     /**
      * @param num_vcs  VCs on the downstream input port
      * @param vc_depth downstream buffer depth (initial credits per VC)
@@ -57,19 +72,26 @@ class OutputUnit
     /** Release a VC binding (tail flit traversed the switch). */
     void freeVc(VcId vc);
 
-    /** Credits remaining on a VC. Inline: probed per SA candidate. */
+    /**
+     * Credits usable on a VC at cycle `now`. Inline: probed per SA
+     * candidate.
+     */
     int
-    credits(VcId vc) const
+    credits(VcId vc, Cycle now) const
     {
         checkVc(vc);
-        return creditArr[static_cast<std::size_t>(vc)];
+        const auto i = static_cast<std::size_t>(vc);
+        return settled[i] + (landedAt + CREDIT_DELAY <= now ? landing[i] : 0);
     }
 
-    /** Consume one credit (a flit was sent on this VC). */
-    void decrementCredit(VcId vc);
+    /** Consume one credit at cycle `now` (a flit was sent on this VC). */
+    void decrementCredit(VcId vc, Cycle now);
 
-    /** Process a returning credit from downstream. */
-    void receiveCredit(const Credit &credit);
+    /**
+     * Land a credit returned at cycle `now`; it counts from
+     * now + CREDIT_DELAY. Landings arrive in nondecreasing cycle order.
+     */
+    void land(VcId vc, Cycle now);
 
     /**
      * Find a free VC within [lo, hi] starting the scan after the last
@@ -77,16 +99,29 @@ class OutputUnit
      */
     VcId findFreeVcInRange(VcId lo, VcId hi);
 
-    int numVcs() const { return static_cast<int>(creditArr.size()); }
+    int numVcs() const { return vcs; }
 
   private:
+    /** Add the landings of cycle `landedAt` to the settled counts. */
+    void settle();
+
     /** Busy VCs as a packed mask (bit == VC index). */
     std::uint32_t busyMask = 0;
 
-    /** Credits remaining per VC (flat, cache-resident). */
-    std::vector<int> creditArr;
+    /** VCs with a nonzero landing count. */
+    std::uint32_t landingMask = 0;
+
+    /** Cycle of the landings in `landing`. */
+    Cycle landedAt = 0;
+
+    /** Credits usable regardless of the reading cycle. */
+    std::array<std::int32_t, MAX_VCS> settled{};
+
+    /** Credits landed at cycle `landedAt`. */
+    std::array<std::int32_t, MAX_VCS> landing{};
 
     Channel *channel = nullptr;
+    int vcs;
     int depth;
     VcId scanPointer = 0;
 
@@ -99,7 +134,7 @@ class OutputUnit
     void
     checkVc(VcId vc) const
     {
-        INPG_ASSERT(vc >= 0 && vc < numVcs(), "VC id %d out of range", vc);
+        INPG_ASSERT(vc >= 0 && vc < vcs, "VC id %d out of range", vc);
     }
 };
 

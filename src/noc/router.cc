@@ -8,22 +8,32 @@
 
 namespace inpg {
 
+namespace {
+
+/** One OutputUnit per mesh port, each shaped by the router's config. */
+template <std::size_t... P>
+std::array<OutputUnit, sizeof...(P)>
+makeOutputs(const NocConfig &cfg, std::index_sequence<P...>)
+{
+    return {((void)P, OutputUnit(cfg.totalVcs(), cfg.vcDepth))...};
+}
+
+} // namespace
+
 Router::Router(NodeId node_id, const NocConfig &config_in,
                const RoutingAlgorithm *routing)
     : id(node_id), cfg(config_in),
       // Sized for every port the router can ever have (the generator
       // port arrives after construction).
-      vcs(NUM_PORTS + 1, cfg.totalVcs(), cfg.vcDepth)
+      vcs(NUM_PORTS + 1, cfg.totalVcs(), cfg.vcDepth),
+      outputs(makeOutputs(cfg, std::make_index_sequence<NUM_PORTS>{}))
 {
     INPG_ASSERT(routing != nullptr, "router %d needs a routing algorithm",
                 node_id);
     routeTable = routing->buildTable(node_id, cfg.numNodes());
     stats = StatGroup(format("router%d", node_id));
-    inChannels.reserve(NUM_PORTS + 1);
     for (int p = 0; p < NUM_PORTS; ++p) {
-        inChannels.push_back(nullptr);
-        outputs[static_cast<std::size_t>(p)] =
-            std::make_unique<OutputUnit>(cfg.totalVcs(), cfg.vcDepth);
+        inputs[static_cast<std::size_t>(p)].bindConsumer(this, &due, p);
         saOutportArb[static_cast<std::size_t>(p)] =
             std::make_unique<PriorityArbiter>(NUM_PORTS + 1,
                                               cfg.agingQuantum);
@@ -44,39 +54,9 @@ Router::Router(NodeId node_id, const NocConfig &config_in,
 }
 
 void
-Router::connectInput(Direction d, Channel *channel)
+Router::connectOutput(Direction d, Channel &channel)
 {
-    INPG_ASSERT(channel != nullptr, "null input channel");
-    inChannels[static_cast<std::size_t>(d)] = channel;
-    channel->setFlitSink(this);
-    rebuildConnectedLists();
-}
-
-void
-Router::connectOutput(Direction d, Channel *channel)
-{
-    INPG_ASSERT(channel != nullptr, "null output channel");
-    outputs[static_cast<std::size_t>(d)]->connect(channel);
-    channel->setCreditSink(this);
-    rebuildConnectedLists();
-}
-
-void
-Router::rebuildConnectedLists()
-{
-    // Rebuilt on every connect call (construction-time only). Ascending
-    // port order keeps drain iteration identical to a full port scan.
-    flitSources.clear();
-    for (int p = 0; p < numInPorts(); ++p) {
-        if (Channel *ch = inChannels[static_cast<std::size_t>(p)])
-            flitSources.push_back({ch, p});
-    }
-    creditSources.clear();
-    for (int p = 0; p < NUM_PORTS; ++p) {
-        OutputUnit &ou = *outputs[static_cast<std::size_t>(p)];
-        if (ou.outChannel())
-            creditSources.push_back({ou.outChannel(), &ou});
-    }
+    channel.connectProducer(this, &outputs[static_cast<std::size_t>(d)]);
 }
 
 int
@@ -84,7 +64,6 @@ Router::addGeneratorPort()
 {
     INPG_ASSERT(genPort < 0, "generator port already present");
     // The VC block is already sized for this port (NUM_PORTS + 1).
-    inChannels.push_back(nullptr);
     genPort = nInPorts;
     ++nInPorts;
     return genPort;
@@ -159,14 +138,14 @@ Router::debugJson(Cycle now) const
 
     JsonValue creds = JsonValue::object();
     for (int p = 0; p < NUM_PORTS; ++p) {
-        const OutputUnit *ou = outputs[static_cast<std::size_t>(p)].get();
-        if (!ou || !ou->outChannel())
+        const OutputUnit &ou = outputs[static_cast<std::size_t>(p)];
+        if (!ou.outChannel())
             continue;
         JsonValue per_vc = JsonValue::array();
-        for (VcId v = 0; v < ou->numVcs(); ++v) {
+        for (VcId v = 0; v < ou.numVcs(); ++v) {
             JsonValue cv = JsonValue::object();
-            cv["credits"] = static_cast<long long>(ou->credits(v));
-            cv["busy"] = !ou->isVcFree(v);
+            cv["credits"] = static_cast<long long>(ou.credits(v, now));
+            cv["busy"] = !ou.isVcFree(v);
             per_vc.push(std::move(cv));
         }
         creds[directionName(static_cast<Direction>(p))] =
@@ -179,7 +158,6 @@ Router::debugJson(Cycle now) const
 void
 Router::tick(Cycle now)
 {
-    drainCredits(now);
     drainFlits(now);
     // Generator machinery exists only on routers with a generator port
     // (BigRouter); skip the virtual hook on plain routers.
@@ -194,49 +172,30 @@ Router::tick(Cycle now)
     }
     // Checked after allocation so the router leaves the active set in
     // the cycle its last flit departs. Until the next flit is
-    // deliverable (its push wakes us for that cycle) every tick would
-    // only take in credits, which the next awake tick drains anyway.
-    if (vcs.totalOccupancy() == 0 && canSleep())
-        suspendSelf();
-}
-
-bool
-Router::canSleep() const
-{
-    return genPort < 0 || (genQueue.empty() && generatorIdle());
-}
-
-void
-Router::drainCredits(Cycle now)
-{
-    // Compact list: connected outputs only, in ascending port order.
-    for (const ConnectedOut &cp : creditSources) {
-        while (cp.channel->credits.ready(now)) {
-            Credit credit = cp.channel->credits.pop(now);
-            cp.unit->receiveCredit(credit);
-        }
-    }
+    // deliverable (its push wakes us for that cycle) or the generator's
+    // next timed work comes, every tick is a no-op: credits land in the
+    // output units without a tick.
+    if (vcs.totalOccupancy() == 0 && genQueue.empty())
+        suspendUntil(genPort < 0 ? CYCLE_NEVER : nextTimedWork(), now);
 }
 
 void
 Router::drainFlits(Cycle now)
 {
-    // Compact list: connected inputs only, in ascending port order (the
-    // same order the full port scan used, so telemetry record order and
-    // buffer contents are unchanged).
-    for (const ConnectedIn &cp : flitSources) {
-        const int p = cp.port;
-        Channel *ch = cp.channel;
-        while (ch->flits.ready(now)) {
-            FlitPtr flit = ch->flits.pop(now);
-            if (isHeadFlit(flit->type)) {
-                onHeadFlitArrived(flit, p, now);
-                if (PacketLifetime *life = flit->packet->lifetime)
-                    life->arrive(id, now);
-            }
-            vcs.receiveFlit(p, std::move(flit), now);
-            ++*flitsReceivedCtr;
+    // Only the ports due this cycle, in ascending port order, so
+    // telemetry record order and buffer contents match a full scan. A
+    // push during the loop targets a later slot.
+    for (std::uint32_t m = std::exchange(due[flitSlot(now)], 0); m;
+         m &= m - 1) {
+        const int p = std::countr_zero(m);
+        FlitPtr flit = inputs[static_cast<std::size_t>(p)].takeFlit(now);
+        if (isHeadFlit(flit->type)) {
+            onHeadFlitArrived(flit, p, now);
+            if (PacketLifetime *life = flit->packet->lifetime)
+                life->arrive(id, now);
         }
+        vcs.receiveFlit(p, std::move(flit), now);
+        ++*flitsReceivedCtr;
     }
 }
 
@@ -282,14 +241,14 @@ Router::tryAllocateVc(int port, VcId v, Cycle now)
         vcs.outClass[s] = entry.vcClass;
         vcs.outVc[s] = INVALID_VC;
         vcs.state[s] = VcStateArray::WaitVc;
-        vcs.headAt[s] = front->bufferedAt;
+        vcs.headAt[s] = vcs.frontAt(s);
         vcs.refreshMask(port, v);
     }
     if (vcs.state[s] != VcStateArray::WaitVc)
         return;
     if (now <= vcs.headAt[s])
         return; // stage-1 charge: eligible the cycle after buffering
-    OutputUnit &ou = *outputs[static_cast<std::size_t>(vcs.outPort[s])];
+    OutputUnit &ou = outputs[static_cast<std::size_t>(vcs.outPort[s])];
     const auto [vc_lo, vc_hi] =
         outVcRange(cfg.vnetOfVc(v), vcs.outClass[s]);
     VcId out_vc = ou.findFreeVcInRange(vc_lo, vc_hi);
@@ -331,7 +290,7 @@ void
 Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
 {
     const std::size_t s = vcs.slot(inport, v);
-    OutputUnit &ou = *outputs[static_cast<std::size_t>(outport)];
+    OutputUnit &ou = outputs[static_cast<std::size_t>(outport)];
     INPG_ASSERT(ou.outChannel() != nullptr,
                 "router %d: traversal into unconnected port %d", id,
                 outport);
@@ -348,12 +307,12 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
     }
 
     // Return a buffer credit upstream (none for the generator port).
-    if (Channel *up = inChannels[static_cast<std::size_t>(inport)])
-        up->pushCredit(Credit{v, tail}, now);
+    if (inport != genPort)
+        inputs[static_cast<std::size_t>(inport)].pushCredit(v, now);
 
     VcId out_vc = vcs.outVc[s];
     flit->vc = out_vc;
-    ou.decrementCredit(out_vc);
+    ou.decrementCredit(out_vc, now);
     if (tail) {
         ou.freeVc(out_vc);
         vcs.state[s] = VcStateArray::Idle;
@@ -389,17 +348,16 @@ Router::allocateSwitch(Cycle now)
         for (std::uint32_t m = vcs.saCandidates(p); m; m &= m - 1) {
             const VcId v = static_cast<VcId>(std::countr_zero(m));
             const std::size_t s = base + static_cast<std::size_t>(v);
-            const FlitPtr &front = vcs.front(s);
-            if (now <= front->bufferedAt)
+            if (now <= vcs.frontAt(s))
                 continue;
-            OutputUnit &ou =
-                *outputs[static_cast<std::size_t>(vcs.outPort[s])];
-            if (ou.credits(vcs.outVc[s]) <= 0)
+            const OutputUnit &ou =
+                outputs[static_cast<std::size_t>(vcs.outPort[s])];
+            if (ou.credits(vcs.outVc[s], now) <= 0)
                 continue;
             valid |= 1u << static_cast<std::uint32_t>(v);
             if (prio) {
                 auto &r = saVcReqScratch[static_cast<std::size_t>(v)];
-                r.priority = front->packet->priority;
+                r.priority = vcs.front(s)->packet->priority;
                 r.age = now - vcs.headAt[s];
             }
         }

@@ -53,13 +53,17 @@ class Router : public Ticking
     ~Router() override = default;
 
     /**
-     * Attach the channel whose flit line feeds this router on port `d`
-     * (credits for those flits are returned on the same channel).
+     * The channel feeding input port `d`, owned by this router (credits
+     * for its flits are returned on it).
      */
-    void connectInput(Direction d, Channel *channel);
+    Channel &
+    inputChannel(Direction d)
+    {
+        return inputs[static_cast<std::size_t>(d)];
+    }
 
-    /** Attach the channel this router drives on port `d`. */
-    void connectOutput(Direction d, Channel *channel);
+    /** Drive `channel` (owned by the next hop) from output port `d`. */
+    void connectOutput(Direction d, Channel &channel);
 
     void tick(Cycle now) override;
 
@@ -75,6 +79,9 @@ class Router : public Ticking
 
     /** Sum of flits buffered across all input units (invariant checks). */
     std::size_t bufferedFlits() const;
+
+    /** True while a flit waits in an input channel for delivery. */
+    bool flitsDue() const { return anyDue(due); }
 
     /**
      * Structured dump of the router's pipeline state for the hang
@@ -123,11 +130,11 @@ class Router : public Ticking
     }
 
     /**
-     * True when generatorPhase() has no time-driven work pending, so the
-     * router may leave the active set (BigRouter overrides: barrier TTL
-     * expiry must observe every cycle while barriers exist).
+     * Earliest cycle generatorPhase() may have time-driven work
+     * (CYCLE_NEVER: none). A router with nothing buffered sleeps until
+     * then; BigRouter returns its next barrier expiry.
      */
-    virtual bool generatorIdle() const { return true; }
+    virtual Cycle nextTimedWork() const { return CYCLE_NEVER; }
 
     /**
      * Enable the internal generator input port (BigRouter constructor).
@@ -154,13 +161,7 @@ class Router : public Ticking
     int numInPorts() const { return nInPorts; }
 
   private:
-    void drainCredits(Cycle now);
     void drainFlits(Cycle now);
-    /**
-     * With no flit buffered: true when only a newly deliverable flit
-     * (which wakes us) can give the router work. Reads no channel.
-     */
-    bool canSleep() const;
     /**
      * Bitmask-driven allocation stages: VA (with route computation for
      * newly arrived heads) and two-level SA over the per-port candidate
@@ -207,29 +208,16 @@ class Router : public Ticking
     /** Input-VC state, buffers and candidate masks of every port. */
     VcStateArray vcs;
 
-    std::array<std::unique_ptr<OutputUnit>, NUM_PORTS> outputs;
-
-    /** Channels feeding each input port (credits go back on these). */
-    std::vector<Channel *> inChannels;
+    std::array<OutputUnit, NUM_PORTS> outputs;
 
     /**
-     * Compact connected-port lists for the per-cycle drain loops
-     * (border routers leave 1-2 ports unconnected; the generator port
-     * has no channel at all). Ascending port order preserves the full
-     * scan's iteration order. Rebuilt by rebuildConnectedLists().
+     * Channels feeding each mesh input port (the generator port has
+     * none); a border router leaves 1-2 of them unconnected.
      */
-    struct ConnectedIn {
-        Channel *channel;
-        int port;
-    };
-    struct ConnectedOut {
-        Channel *channel;
-        OutputUnit *unit;
-    };
-    std::vector<ConnectedIn> flitSources;
-    std::vector<ConnectedOut> creditSources;
+    std::array<Channel, NUM_PORTS> inputs;
 
-    void rebuildConnectedLists();
+    /** Due-port masks of `inputs`, one per delivery slot. */
+    DueMasks due{};
 
     /** Input ports in use, including the generator port if present. */
     int nInPorts = 0;

@@ -25,6 +25,7 @@ VcStateArray::VcStateArray(int num_ports, int num_vcs, int vc_depth)
     headAt.assign(slots, 0);
 
     store.assign(slots * capPerVc, FlitPtr{});
+    arrival.assign(slots * capPerVc, 0);
     head.assign(slots, 0);
     count.assign(slots, 0);
 }

@@ -13,8 +13,11 @@
  *
  * Flit storage is one pooled ring-buffer arena: capPerVc (vcDepth
  * rounded up to a power of two) FlitPtr slots per VC, with per-slot
- * head/count counters. Buffering a flit is an index store; popping is
- * an index move -- no deque nodes, no per-VC allocation, ever.
+ * head/count counters, and beside it an arena of the same shape
+ * holding each buffered flit's arrival cycle, so VA and SA read the
+ * front flit's cycle without dereferencing the flit. Buffering a flit
+ * is an index store; popping is an index move -- no deque nodes, no
+ * per-VC allocation, ever.
  *
  * Candidate tracking is three packed 32-bit masks per port (bit == VC
  * index): pendingMask (Idle VCs holding a head flit), waitMask (WaitVc)
@@ -87,6 +90,14 @@ class VcStateArray
         return store[s * capPerVc + head[s]];
     }
 
+    /** Cycle the front flit of a VC was buffered. */
+    Cycle
+    frontAt(std::size_t s) const
+    {
+        INPG_ASSERT(count[s] > 0, "frontAt() on empty VC slot %zu", s);
+        return arrival[s * capPerVc + head[s]];
+    }
+
     /** Buffer an arriving flit into its VC (flit->vc selects the VC). */
     void
     receiveFlit(int port, FlitPtr flit, Cycle now)
@@ -103,10 +114,10 @@ class VcStateArray
             INPG_ASSERT(isHeadFlit(flit->type),
                         "body flit into idle empty VC %d", flit->vc);
         }
-        flit->bufferedAt = now;
         const std::size_t idx =
             s * capPerVc + ((head[s] + count[s]) & (capPerVc - 1));
         store[idx] = std::move(flit);
+        arrival[idx] = now;
         ++count[s];
         ++occupancy;
         refreshMask(port, flit_vc);
@@ -231,6 +242,8 @@ class VcStateArray
 
     /** Pooled flit arena: slot s owns store[s*capPerVc .. +capPerVc). */
     std::vector<FlitPtr> store;
+    /** Arrival cycle of each stored flit, indexed like `store`. */
+    std::vector<Cycle> arrival;
     std::vector<std::uint32_t> head;
     std::vector<std::uint32_t> count;
 

@@ -152,7 +152,7 @@ ParallelKernel::classifyBoundaries(Network &network,
 
     const auto &channels = network.allChannels();
     std::size_t n = 0;
-    for (const auto &ch : channels)
+    for (const Channel *ch : channels)
         if (domainOf(ch->flitSinkComponent()) !=
             domainOf(ch->creditSinkComponent()))
             ++n;
@@ -162,14 +162,14 @@ ParallelKernel::classifyBoundaries(Network &network,
                    ? &coordDirty
                    : &domains[static_cast<std::size_t>(domain - 1)].dirty;
     };
-    for (const auto &ch : channels) {
+    for (Channel *ch : channels) {
         const int flitSinkDom = domainOf(ch->flitSinkComponent());
         const int creditSinkDom = domainOf(ch->creditSinkComponent());
         if (flitSinkDom == creditSinkDom)
             continue;
         INPG_ASSERT(ch->flitSinkComponent() && ch->creditSinkComponent(),
                     "boundary channel without both sinks");
-        boundaries.push_back(Boundary{ch.get(), ChannelOutbox{}});
+        boundaries.push_back(Boundary{ch, ChannelOutbox{}});
         ChannelOutbox &box = boundaries.back().box;
         box.index = boundaries.size() - 1;
         // Each direction's producer is the other direction's sink.
@@ -275,9 +275,11 @@ ParallelKernel::drainOutboxes()
 {
     // Deterministic merge: only the outboxes some thread pushed into
     // this cycle, sorted into fixed channel order, FIFO within each
-    // channel (single producer per direction), and every re-push
-    // carries its original cycle so DelayLine delivery cycles -- and
-    // the sink wakes -- are exactly the serial ones.
+    // channel (single producer per direction), and every flit and
+    // credit is applied with its original push cycle, so delivery
+    // slots, credit stamps and sink wakes are exactly the serial ones.
+    // Workers are parked, so writing their consumers' slots and their
+    // producers' credit counters from here races with nothing.
     std::vector<ChannelOutbox *> &dirty = coordDirty;
     for (Domain &d : domains) {
         dirty.insert(dirty.end(), d.dirty.begin(), d.dirty.end());
@@ -297,16 +299,14 @@ ParallelKernel::drainOutboxes()
         if (box->empty())
             continue;
         Channel *ch = boundaries[box->index].channel;
-        ch->setOutbox(nullptr);
         flits += box->flits.size();
         credits += box->credits.size();
         for (auto &e : box->flits)
-            ch->pushFlit(std::move(e.second), e.first);
-        for (auto &e : box->credits)
-            ch->pushCredit(e.second, e.first);
+            ch->deliverFlit(std::move(e.second), e.first);
+        for (const auto &e : box->credits)
+            ch->landCredit(e.second, e.first);
         box->flits.clear();
         box->credits.clear();
-        ch->setOutbox(box);
     }
     dirty.clear();
     prof->drained(flits, credits);

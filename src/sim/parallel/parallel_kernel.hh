@@ -20,9 +20,9 @@
  * serial cycle body) while each worker sweeps its domain for the same
  * cycle, waits for all workers to arrive, then merges: the
  * boundary-channel outboxes that saw a push this cycle (each thread's
- * dirty list) are drained in deterministic channel order (each
- * re-push carries the original push cycle, so delivery cycles are
- * exactly the serial ones). A packet's head flit sits in one router
+ * dirty list) are drained in deterministic channel order (each flit
+ * and credit is applied with its original push cycle, so delivery
+ * cycles are exactly the serial ones). A packet's head flit sits in one router
  * per cycle and crosses domains only through those outboxes, so each
  * packet lifetime record has one writer per cycle and the coordinator
  * reads it only after a merge. The simulator's end-of-cycle tail
@@ -41,9 +41,11 @@
  * ActiveSet, whose wake calendar (the domain ring) it applies at the
  * start of every cycle of its sweep. A flit push wakes its consumer
  * for the delivery cycle, push + FLIT_DELAY, which is never the
- * current cycle, so the merge's re-push sets the wake in the
+ * current cycle, so the merge's delivery sets the wake in the
  * consumer's ring -- a domain ring or the serial one -- before that
- * ring reaches the cycle; credits wake nobody. The coordinator writes
+ * ring reaches the cycle; credits wake nobody, and the merge lands
+ * each one with its push cycle, so it counts from the same cycle as
+ * in a serial run. The coordinator writes
  * domain rings only during the merge, while every worker is parked.
  * Fabric routers are woken by timed wakes alone, so no tick is skipped
  * or added against the serial kernel. The barrier is elided only while

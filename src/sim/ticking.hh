@@ -7,6 +7,7 @@
 #ifndef INPG_SIM_TICKING_HH
 #define INPG_SIM_TICKING_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -34,7 +35,8 @@ class ActiveSet
   public:
     /**
      * Calendar length in cycles: a power of two larger than every
-     * timed-wake distance (link.hh asserts the flit delay fits).
+     * single timed-wake distance (link.hh asserts the flit delay
+     * fits; SleepToken::sleepUntil chains longer waits).
      */
     static constexpr Cycle WAKE_RING = 8;
 
@@ -254,6 +256,22 @@ class SleepToken
             set->deactivate(word, bit);
     }
 
+    /**
+     * Leave the active set until cycle `due` (CYCLE_NEVER: until the
+     * next wake). A due cycle past the wake calendar is reached in a
+     * chain of hops: the timed wake lands at the furthest cycle the
+     * calendar holds, and the woken tick, finding `due` still ahead,
+     * calls this again. A due cycle at or before `now` wakes at
+     * now + 1.
+     */
+    void
+    sleepUntil(Cycle due, Cycle now)
+    {
+        suspend();
+        if (due != CYCLE_NEVER)
+            wakeAt(std::clamp(due, now + 1, now + ActiveSet::WAKE_RING - 1));
+    }
+
     bool bound() const { return set != nullptr; }
 
     /** In the active set now (diagnostics and tests). */
@@ -291,22 +309,25 @@ class SleepToken
  *
  * The simulator guarantees a fixed, registration-order evaluation
  * sequence within a cycle. Components must only exchange state through
- * latched queues or Links (which impose at least one cycle of delay), so
- * that intra-cycle ordering is never observable.
+ * latched queues or Channels (which impose at least one cycle of
+ * delay), so that intra-cycle ordering is never observable.
  *
- * Activity contract: every component starts active. A component may
- * call suspendSelf() from its tick() once it can prove that all its
- * future ticks would be no-ops until new input becomes deliverable:
- * its internal queues are drained and it has no time-driven work
- * pending. Items latched in its input channels for a future cycle do
- * not keep it awake, because whoever injects input wakes the consumer
- * for the cycle the input becomes deliverable: Channel::pushFlit with
+ * Activity contract: every component starts active and leaves the tick
+ * loop only from its own tick(), once it can prove that its ticks are
+ * no-ops until new input arrives or a known cycle comes:
+ *  - suspendSelf() when only new input can give it work (its queues
+ *    are drained, no time-driven work pending);
+ *  - suspendUntil(due, now) when it also has time-driven work at cycle
+ *    `due` -- a big router's next barrier expiry, a directory bank's
+ *    busy-until cycle. The wake hops through the calendar, so `due`
+ *    may lie any distance ahead.
+ * Whoever delivers input wakes the consumer: Channel::pushFlit with
  * SleepToken::wakeAt(delivery cycle), a message enqueue with wake().
- * A returned credit wakes nobody: only an awake component reads its
- * credit counts, and every tick first drains all credits ready by
- * then, so a credit taken in late is indistinguishable from one taken
- * in on time. Waking an idle component early is always safe: a
- * suspendable tick is a behavioral no-op.
+ * A returned credit wakes nobody: it lands as a counter stamped with
+ * its cycle in the producer's OutputUnit, and every read takes the
+ * reading cycle, so a producer that slept through the landing reads
+ * the same count as one that ticked. Waking an idle component early is
+ * always safe: a suspendable tick is a behavioral no-op.
  */
 class Ticking
 {
@@ -325,6 +346,9 @@ class Ticking
   protected:
     /** Leave the tick loop until the next wake (see class comment). */
     void suspendSelf() { token.suspend(); }
+
+    /** Leave the tick loop until cycle `due` or the next wake. */
+    void suspendUntil(Cycle due, Cycle now) { token.sleepUntil(due, now); }
 
     /** Re-enter the tick loop (safe from any context). */
     void wakeSelf() { token.wake(); }

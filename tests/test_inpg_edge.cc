@@ -1,7 +1,8 @@
 /**
  * @file
  * iNPG edge cases: barrier-table capacity pass-through, TTL behaviour
- * under live traffic, ack relaying at the home tile, generator-port
+ * under live traffic (down to TTLs of 0 and 1 cycle) and while the big
+ * router sleeps, ack relaying at the home tile, generator-port
  * injection under pressure, and the packet generator's protocol
  * filters.
  */
@@ -9,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "coh/coherent_system.hh"
+#include "coh/golden_memory.hh"
+#include "harness/system.hh"
 #include "inpg/big_router.hh"
 #include "inpg/packet_generator.hh"
 #include "sim/simulator.hh"
+#include "workload/workload.hh"
 
 namespace inpg {
 namespace {
@@ -240,6 +244,94 @@ TEST(InpgEdge, LockHomedAtBigRouterTile)
         early += br->generator().stats.value("early_invs_generated");
     }
     EXPECT_GT(early, 0u);
+}
+
+TEST(InpgEdge, IdleBarrierSleepsUntilItsExpiry)
+{
+    // A big router whose only work is one idle barrier leaves the
+    // active set after every tick and returns only on its chained
+    // timed wakes (the TTL spans several wake calendars); the barrier
+    // still expires exactly at idleSince + ttl.
+    NocConfig noc;
+    noc.meshWidth = 2;
+    noc.meshHeight = 1;
+    InpgConfig icfg;
+    icfg.numBigRouters = 2;
+    icfg.barrierTtl = 3 * ActiveSet::WAKE_RING + 3;
+    CohConfig coh;
+    Simulator sim;
+    Network net(noc, sim, makeInpgRouterFactory(icfg, coh));
+    auto *br = dynamic_cast<BigRouter *>(&net.router(0));
+    ASSERT_NE(br, nullptr);
+    const LockBarrierTable &table = br->generator().barrierTable();
+    SleepToken &tok = br->sleepToken();
+
+    const Addr lock = 0x500;
+    net.inject(net.makePacket(0, 1, vnetForKind(CohMsgKind::GetX), 1,
+                              makeLockGetX(lock, 0)),
+               sim.now());
+    Cycle idleSince = CYCLE_NEVER;
+    while (sim.now() < 200) {
+        const Cycle c = sim.now();
+        sim.step();
+        if (idleSince == CYCLE_NEVER && table.contains(lock))
+            idleSince = c; // installed as the GetX left on the switch
+        if (idleSince == CYCLE_NEVER)
+            continue;
+        const bool expired = table.stats.value("barriers_expired") == 1;
+        EXPECT_EQ(expired, c >= idleSince + icfg.barrierTtl) << c;
+        EXPECT_EQ(table.contains(lock), !expired) << c;
+        EXPECT_FALSE(tok.active()) << c;
+        EXPECT_EQ(tok.wakePending(), !expired) << c;
+    }
+    ASSERT_NE(idleSince, CYCLE_NEVER);
+    EXPECT_EQ(table.stats.value("barriers_expired"), 1u);
+}
+
+/**
+ * CS entries an 8x8 TAS lock storm completes, with the golden memory
+ * model checked over every operation.
+ */
+std::uint64_t
+tasStormCsCompleted(Mechanism mech, Cycle barrier_ttl)
+{
+    SystemConfig cfg;
+    cfg.noc.meshWidth = 8;
+    cfg.noc.meshHeight = 8;
+    cfg.lockKind = LockKind::Tas;
+    cfg.mechanism = mech;
+    cfg.inpg.barrierTtl = barrier_ttl;
+    cfg.finalize();
+    System system(cfg);
+
+    GoldenMemory golden;
+    system.coherent().setOpLog(
+        [&golden](const OpRecord &r) { golden.record(r); });
+    Workload::Params wp;
+    wp.profile = benchmarkByName("nab");
+    wp.threads = cfg.numCores();
+    wp.csScale = 0.02;
+    wp.lockKind = cfg.lockKind;
+    Workload w(wp, system.coherent(), system.locks(), system.sim());
+    for (const auto &kv : system.locks().initialValues())
+        golden.setInitial(kv.first, kv.second);
+    w.start();
+    system.runUntil([&] { return w.done(); }, 30000000);
+    EXPECT_TRUE(w.done());
+    EXPECT_EQ(golden.verify(), "");
+    return w.csCompleted();
+}
+
+TEST(InpgEdge, ZeroAndOneCycleTtlStormsMatchOriginal)
+{
+    // A barrier that expires the cycle after it is installed (or
+    // idles) must leave the protocol correct and complete.
+    const std::uint64_t original =
+        tasStormCsCompleted(Mechanism::Original, 128);
+    EXPECT_GT(original, 0u);
+    for (Cycle ttl : {Cycle{0}, Cycle{1}})
+        EXPECT_EQ(tasStormCsCompleted(Mechanism::Inpg, ttl), original)
+            << "barrier_ttl=" << ttl;
 }
 
 } // namespace

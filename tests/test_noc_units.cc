@@ -161,12 +161,14 @@ TEST(PriorityArbiter, AgingLiftsStarvedRequests)
 TEST(OutputUnit, CreditLifecycle)
 {
     OutputUnit ou(4, 2);
-    EXPECT_EQ(ou.credits(1), 2);
-    ou.decrementCredit(1);
-    ou.decrementCredit(1);
-    EXPECT_EQ(ou.credits(1), 0);
-    ou.receiveCredit(Credit{1, false});
-    EXPECT_EQ(ou.credits(1), 1);
+    EXPECT_EQ(ou.credits(1, 0), 2);
+    ou.decrementCredit(1, 10);
+    ou.decrementCredit(1, 10);
+    EXPECT_EQ(ou.credits(1, 10), 0);
+    ou.land(1, 10);
+    EXPECT_EQ(ou.credits(1, 10), 0);
+    EXPECT_EQ(ou.credits(1, 11), 1);
+    EXPECT_EQ(ou.credits(0, 11), 2);
 }
 
 TEST(OutputUnit, VcAllocationRoundRobinInRange)

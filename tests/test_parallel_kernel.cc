@@ -521,6 +521,51 @@ TEST(ParallelKernel, MultiCycleQuantumMatchesSerial)
     EXPECT_EQ(par.flitsSent(), serial.flitsSent());
 }
 
+TEST(ParallelKernel, HopTimingMatchesSerialEveryCycle)
+{
+    // Every router takes in and sends the same number of flits on
+    // every cycle at threads=4 as serially: flits crossing a domain
+    // boundary land in their consumer's delivery slot for the serial
+    // cycle, and credits crossing it count from the serial cycle.
+    // Packets twice as long as a VC buffer make every hop wait on
+    // returned credits.
+    const Cycle span = 300;
+    auto injectLong = [](NocHarness &h) {
+        const NodeId n = h.net->numNodes();
+        for (NodeId src = 0; src < n; ++src)
+            h.net->inject(h.net->makePacket(src, (src * 7 + 3) % n,
+                                            src % 3, 2 * h.cfg.vcDepth),
+                          h.sim.now());
+    };
+    auto perCycle = [&](NocHarness &h) {
+        std::vector<std::uint64_t> trace;
+        for (Cycle c = 0; c < span; ++c) {
+            h.sim.step();
+            for (NodeId id = 0; id < h.net->numRouters(); ++id) {
+                const StatGroup &st = h.net->router(id).stats;
+                trace.push_back(st.value("flits_received"));
+                trace.push_back(st.value("flits_sent"));
+            }
+        }
+        return trace;
+    };
+    NocHarness serial(4, 4);
+    injectLong(serial);
+    const std::vector<std::uint64_t> expect = perCycle(serial);
+    ASSERT_EQ(serial.delivered.size(),
+              static_cast<std::size_t>(serial.net->numNodes()));
+
+    NocHarness par(4, 4);
+    injectLong(par);
+    ParallelKernel k(par.sim, *par.net, 4);
+    ASSERT_GT(k.boundaryChannels(), 0u);
+    const std::vector<std::uint64_t> got = perCycle(par);
+    k.shutdown();
+    EXPECT_EQ(got, expect);
+    EXPECT_EQ(par.deliveredAt, serial.deliveredAt);
+    EXPECT_TRUE(par.net->quiescent());
+}
+
 TEST(ParallelKernel, HostProfileNeedsSerialKernel)
 {
     // Checked when either side is attached, never per cycle.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Focused protocol unit tests: directory state transitions, memory
- * controller queueing, delay lines, NI behaviour, and the L1's
+ * controller queueing, channel hop timing, NI behaviour, and the L1's
  * forward-deferral machinery under adversarial orderings.
  */
 
@@ -16,32 +16,92 @@ namespace inpg {
 namespace {
 
 // ---------------------------------------------------------------------
-// DelayLine / Channel
+// Channel hop timing
 // ---------------------------------------------------------------------
 
-TEST(DelayLine, HonorsLatencyAndOrder)
+/** A consumer that only receives wakes (unregistered: wakes no-op). */
+struct IdleSink : Ticking {
+    void tick(Cycle) override {}
+};
+
+FlitPtr
+hopFlit()
 {
-    DelayLine<int> line(3);
-    line.push(1, 10);
-    line.push(2, 10);
-    EXPECT_FALSE(line.ready(12));
-    EXPECT_TRUE(line.ready(13));
-    EXPECT_EQ(line.pop(13), 1);
-    EXPECT_EQ(line.pop(13), 2);
-    EXPECT_TRUE(line.empty());
+    return makeFlit(std::make_shared<Packet>(/*id=*/0, /*src=*/0,
+                                             /*dst=*/1, /*vnet=*/0,
+                                             /*num_flits=*/1),
+                    FlitType::HeadTail, 0);
 }
 
-TEST(DelayLine, RejectsZeroLatency)
+TEST(Channel, FlitDeliverableTwoCyclesAfterPush)
 {
-    EXPECT_DEATH({ DelayLine<int> line(0); }, "latency");
-}
-
-TEST(Channel, FlitDelayIncludesSwitchTraversal)
-{
-    // Channel flit delay = the sender's ST stage + the 1-cycle link.
+    // Flit delay = the sender's ST stage + the 1-cycle link: a flit
+    // pushed at t is due at t + 2 on its port, and not at t + 1.
+    IdleSink sink;
+    DueMasks due{};
     Channel ch;
-    EXPECT_EQ(ch.flits.linkLatency(), 2u);
-    EXPECT_EQ(ch.credits.linkLatency(), 1u);
+    ch.bindConsumer(&sink, &due, /*port=*/3);
+    FlitPtr flit = hopFlit();
+    Flit *raw = flit.get();
+    ch.pushFlit(std::move(flit), 10);
+    EXPECT_EQ(due[flitSlot(11)], 0u);
+    EXPECT_EQ(due[flitSlot(12)], 1u << 3);
+    EXPECT_TRUE(anyDue(due));
+    EXPECT_EQ(ch.takeFlit(12).get(), raw);
+
+    // Back-to-back pushes reuse the slots in turn.
+    ch.pushFlit(hopFlit(), 11);
+    ch.pushFlit(hopFlit(), 12);
+    EXPECT_EQ(due[flitSlot(13)], 1u << 3);
+    EXPECT_EQ(due[flitSlot(14)], 1u << 3);
+}
+
+TEST(Channel, SecondFlitInOneCycleDies)
+{
+    IdleSink sink;
+    DueMasks due{};
+    Channel ch;
+    ch.bindConsumer(&sink, &due, 0);
+    ch.pushFlit(hopFlit(), 5);
+    EXPECT_DEATH(ch.pushFlit(hopFlit(), 5), "second flit on one channel");
+}
+
+TEST(Channel, CreditVisibleOneCycleAfterPush)
+{
+    // A credit returned at t counts from t + 1, also when credits land
+    // on consecutive cycles.
+    IdleSink consumer, producer;
+    DueMasks due{};
+    Channel ch;
+    ch.bindConsumer(&consumer, &due, 0);
+    OutputUnit ou(/*num_vcs=*/2, /*vc_depth=*/4);
+    ch.connectProducer(&producer, &ou);
+    EXPECT_EQ(ou.outChannel(), &ch);
+    for (int i = 0; i < 4; ++i)
+        ou.decrementCredit(1, 3);
+    EXPECT_EQ(ou.credits(1, 3), 0);
+
+    ch.pushCredit(1, 7);
+    EXPECT_EQ(ou.credits(1, 7), 0);
+    EXPECT_EQ(ou.credits(1, 8), 1);
+    ch.pushCredit(1, 8);
+    EXPECT_EQ(ou.credits(1, 8), 1);
+    EXPECT_EQ(ou.credits(1, 9), 2);
+    ch.pushCredit(1, 9);
+    // A send in the landing cycle sees only the older landings.
+    ou.decrementCredit(1, 9);
+    EXPECT_EQ(ou.credits(1, 9), 1);
+    EXPECT_EQ(ou.credits(1, 10), 2);
+    EXPECT_EQ(ou.credits(0, 10), 4);
+}
+
+TEST(Channel, CreditOverflowDies)
+{
+    OutputUnit ou(/*num_vcs=*/1, /*vc_depth=*/2);
+    ou.decrementCredit(0, 1);
+    ou.land(0, 2);
+    EXPECT_DEATH(ou.land(0, 3), "credit overflow");
+    EXPECT_DEATH(ou.land(0, 2), "credit overflow");
 }
 
 // ---------------------------------------------------------------------

@@ -155,7 +155,7 @@ TEST(VcStateArray, ReceiveAndPopKeepOccupancyAndMasksInSync)
     // An idle VC holding a head flit is a pending (RC) candidate.
     EXPECT_EQ(a.pendingMask[1], 1u << 1);
     EXPECT_EQ(a.pendingMask[0], 0u);
-    EXPECT_EQ(a.front(s)->bufferedAt, 5u);
+    EXPECT_EQ(a.frontAt(s), 5u);
 
     a.receiveFlit(1, testFlit(FlitType::Body, 1), 6);
     a.receiveFlit(1, testFlit(FlitType::Tail, 1), 7);
