@@ -47,13 +47,11 @@ main(int argc, char **argv)
         rc.csScale = cs_scale;
 
         rc.system.mechanism = Mechanism::Original;
-        RunResult base = runBenchmark(rc);
+        RunRecord base = runBenchmark(rc);
         rc.system.mechanism = Mechanism::Inpg;
-        RunResult inpg = runBenchmark(rc);
+        RunRecord inpg = runBenchmark(rc);
 
-        double lco = static_cast<double>(base.lockCohCycles) /
-                     (static_cast<double>(base.roiCycles) *
-                      rc.system.numCores());
+        const double lco = base.phaseFraction(base.lockCohCycles);
         t.row({lockKindName(k), std::to_string(base.roiCycles),
                std::to_string(inpg.roiCycles),
                fixed(100.0 * (1.0 - static_cast<double>(inpg.roiCycles) /

@@ -7,8 +7,8 @@
  * test-and-set lock (the primitive with the heaviest lock coherence
  * traffic). Pass lock=qsl for the paper's default platform setup.
  *
- * Every run records per-acquire LCO attribution (the typed
- * RunResult::lco summary -- no text parsing) and writes a
+ * Every run records per-acquire LCO attribution (the RunRecord's lco
+ * section -- no text parsing) and writes a
  * Perfetto-loadable Chrome trace plus a JSON stats snapshot of the
  * iNPG run.
  *
@@ -33,13 +33,12 @@ namespace {
 
 /** Leg share of the mean acquire, in percent. */
 std::string
-legPct(const LcoSummary &s, Cycle LcoLegs::*leg)
+legPct(const JsonValue &lco, const char *leg)
 {
-    if (s.totalLatency == 0)
+    const double total = lco.at("total_latency").asDouble();
+    if (total == 0)
         return "-";
-    return fixed(100.0 * static_cast<double>(s.legs.*leg) /
-                     static_cast<double>(s.totalLatency),
-                 1);
+    return fixed(100.0 * lco.at("legs").at(leg).asDouble() / total, 1);
 }
 
 } // namespace
@@ -73,49 +72,48 @@ main(int argc, char **argv)
                   "CS speedup", "COH%", "CSE%", "early Invs",
                   "sleeps"});
 
-    std::vector<RunResult> results = runAllMechanisms(rc);
+    std::vector<RunRecord> results = runAllMechanisms(rc);
     const double base_roi = static_cast<double>(results[0].roiCycles);
     const double base_cs =
         static_cast<double>(results[0].csTotalCycles());
-    const int threads = rc.system.numCores();
 
     for (const auto &r : results) {
         table.row({
-            mechanismName(r.mechanism),
+            r.mechanism,
             std::to_string(r.roiCycles),
             fixed(100.0 * static_cast<double>(r.roiCycles) / base_roi,
                   1) + "%",
             std::to_string(r.csTotalCycles()),
             fixed(base_cs / static_cast<double>(r.csTotalCycles()), 2) +
                 "x",
-            fixed(100.0 * r.phaseFraction(r.cohCycles, threads), 1),
-            fixed(100.0 * r.phaseFraction(r.cseCycles, threads), 1),
+            fixed(100.0 * r.phaseFraction(r.cohCycles), 1),
+            fixed(100.0 * r.phaseFraction(r.cseCycles), 1),
             std::to_string(r.earlyInvs),
             std::to_string(r.sleeps),
         });
     }
     std::cout << "\n" << table.render() << "\n";
 
-    // Per-acquire LCO attribution, straight off the typed summary.
+    // Per-acquire LCO attribution, straight off the lco section.
     TablePrinter lco_table(
         "Lock-acquire latency attribution (% of mean acquire)");
     lco_table.header({"mechanism", "acquires", "mean cyc", "l1", "req",
                       "dir", "resp", "invack", "spin", "sleep",
                       "early-inv acq"});
     for (const auto &r : results) {
-        const LcoSummary &s = r.lco;
+        const JsonValue &lco = r.lco;
         lco_table.row({
-            mechanismName(r.mechanism),
-            std::to_string(s.acquires),
-            fixed(s.meanLatency(), 0),
-            legPct(s, &LcoLegs::l1Access),
-            legPct(s, &LcoLegs::reqNetwork),
-            legPct(s, &LcoLegs::dirService),
-            legPct(s, &LcoLegs::respNetwork),
-            legPct(s, &LcoLegs::invAckWait),
-            legPct(s, &LcoLegs::spinWait),
-            legPct(s, &LcoLegs::sleepWait),
-            std::to_string(s.acquiresWithEarlyInv),
+            r.mechanism,
+            std::to_string(lco.at("acquires").asUint()),
+            fixed(lco.at("mean_latency").asDouble(), 0),
+            legPct(lco, "l1_access"),
+            legPct(lco, "req_network"),
+            legPct(lco, "dir_service"),
+            legPct(lco, "resp_network"),
+            legPct(lco, "inv_ack_wait"),
+            legPct(lco, "spin_wait"),
+            legPct(lco, "sleep_wait"),
+            std::to_string(lco.at("acquires_with_early_inv").asUint()),
         });
     }
     std::cout << lco_table.render() << "\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -12,6 +13,20 @@ Histogram::Histogram(std::uint64_t bin_width, std::size_t num_bins)
 {
     INPG_ASSERT(bin_width >= 1, "histogram bin width must be >= 1");
     INPG_ASSERT(num_bins >= 1, "histogram needs at least one bin");
+}
+
+Histogram::Histogram(std::uint64_t bin_width,
+                     std::vector<std::uint64_t> counts,
+                     std::uint64_t overflow_count, std::uint64_t sum,
+                     std::uint64_t min, std::uint64_t max)
+    : width(bin_width), bins(std::move(counts)), overflow(overflow_count),
+      total(overflow_count), sampleSum(sum), maxSample(max),
+      minSample(min)
+{
+    INPG_ASSERT(bin_width >= 1, "histogram bin width must be >= 1");
+    INPG_ASSERT(!bins.empty(), "histogram needs at least one bin");
+    for (std::uint64_t c : bins)
+        total += c;
 }
 
 void

@@ -26,6 +26,14 @@ class Histogram
      */
     Histogram(std::uint64_t bin_width, std::size_t num_bins);
 
+    /**
+     * Rebuild a histogram from its parts (a serialized RunRecord's
+     * rtt section); count() is the bin total plus `overflow_count`.
+     */
+    Histogram(std::uint64_t bin_width, std::vector<std::uint64_t> counts,
+              std::uint64_t overflow_count, std::uint64_t sum,
+              std::uint64_t min, std::uint64_t max);
+
     /** Record one sample. */
     void add(std::uint64_t sample);
 
@@ -46,6 +54,9 @@ class Histogram
 
     /** Smallest sample seen (0 when empty). */
     std::uint64_t min() const { return total ? minSample : 0; }
+
+    /** Width of every regular bin. */
+    std::uint64_t binWidth() const { return width; }
 
     /** Number of regular bins. */
     std::size_t numBins() const { return bins.size(); }

@@ -47,16 +47,13 @@ perRunThreadBudget(int sweep_workers, int requested_run_threads,
                                          : share;
 }
 
-std::vector<RunResult>
+std::vector<RunRecord>
 runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
 {
-    std::vector<RunResult> results(configs.size());
+    std::vector<RunRecord> records(configs.size());
     if (configs.empty())
-        return results;
+        return records;
 
-    // Kernel threads each run actually got (after the budget clamp
-    // below), recorded into its ledger entry.
-    std::vector<int> runThreads(configs.size(), 1);
     const int nthreads = sweepThreadCount(configs.size(), opts.threads);
     std::atomic<std::size_t> next{0};
     const unsigned hw = std::thread::hardware_concurrency();
@@ -68,16 +65,12 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
             // Sweep-level parallelism outranks intra-run parallelism:
             // clamp each run's kernel threads to its share of the
             // host so N workers x M kernel threads cannot
-            // oversubscribe. Bit-identical either way.
-            if (configs[i].system.threads > 1) {
-                RunConfig rc = configs[i];
-                rc.system.threads = perRunThreadBudget(
-                    nthreads, rc.system.threads, hw);
-                runThreads[i] = rc.system.threads;
-                results[i] = runBenchmark(rc);
-            } else {
-                results[i] = runBenchmark(configs[i]);
-            }
+            // oversubscribe. Bit-identical either way; the record
+            // keeps the clamped count.
+            RunConfig rc = configs[i];
+            rc.system.threads =
+                perRunThreadBudget(nthreads, rc.system.threads, hw);
+            records[i] = runBenchmark(rc);
         }
     };
 
@@ -91,14 +84,10 @@ runSweep(const std::vector<RunConfig> &configs, const SweepOptions &opts)
         for (auto &th : pool)
             th.join();
     }
-    if (opts.ledger) {
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            RunRecord rec = makeRunRecord(configs[i], results[i]);
-            rec.threads = runThreads[i];
+    if (opts.ledger)
+        for (const RunRecord &rec : records)
             opts.ledger->append(rec);
-        }
-    }
-    return results;
+    return records;
 }
 
 std::vector<RunConfig>

@@ -30,7 +30,7 @@ struct SweepOptions {
     int threads = 0;
 
     /**
-     * When set, every finished run is appended as a RunRecord after
+     * When set, every finished run's RunRecord is appended after
      * the sweep completes, in submission order -- so the ledger's
      * contents are deterministic regardless of worker scheduling.
      */
@@ -57,10 +57,10 @@ int perRunThreadBudget(int sweep_workers, int requested_run_threads,
                        unsigned hw);
 
 /**
- * Run every configuration and return results in submission order.
+ * Run every configuration and return its records in submission order.
  * Runs inline (no threads) when only one worker is warranted.
  */
-std::vector<RunResult> runSweep(const std::vector<RunConfig> &configs,
+std::vector<RunRecord> runSweep(const std::vector<RunConfig> &configs,
                                 const SweepOptions &opts = {});
 
 /**

@@ -299,7 +299,7 @@ TEST(Inpg, EarlyInvalidationShortensRoundTrips)
     EXPECT_LT(mean_inpg, mean_base);
     // Locality: the big-router round trips are shorter than the
     // home-node ones within the same run. (The full tail-collapse
-    // comparison runs on the 8x8 system in bench_fig10_rtt.)
+    // comparison runs on the 8x8 system in `bench_figures fig=10`.)
     if (home_mean_inpg > 0)
         EXPECT_LT(early_mean, home_mean_inpg);
 }

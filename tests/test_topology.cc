@@ -583,7 +583,7 @@ TEST(PlacementSweep, Runs32x32EndToEnd)
     ASSERT_EQ(grid.size(), 2u);
     const auto results = runSweep(grid);
     ASSERT_EQ(results.size(), 2u);
-    for (const RunResult &r : results) {
+    for (const RunRecord &r : results) {
         EXPECT_GT(r.roiCycles, 0u);
         EXPECT_GT(r.csCompleted, 0u);
     }

@@ -51,18 +51,14 @@ using namespace inpg;
 namespace {
 
 void
-addResultRow(TablePrinter &t, const RunResult &r, int threads)
+addResultRow(TablePrinter &t, const RunRecord &r)
 {
-    t.row({r.benchmark, mechanismName(r.mechanism),
-           lockKindName(r.lockKind), std::to_string(r.roiCycles),
+    t.row({r.benchmark, r.mechanism, r.lock, std::to_string(r.roiCycles),
            std::to_string(r.csCompleted),
-           fixed(100.0 * r.phaseFraction(r.parallelCycles, threads), 1),
-           fixed(100.0 * r.phaseFraction(r.cohCycles, threads), 1),
-           fixed(100.0 * r.phaseFraction(r.cseCycles, threads), 1),
-           fixed(100.0 *
-                     static_cast<double>(r.lockCohCycles) /
-                     (static_cast<double>(r.roiCycles) * threads),
-                 1),
+           fixed(100.0 * r.phaseFraction(r.parallelCycles), 1),
+           fixed(100.0 * r.phaseFraction(r.cohCycles), 1),
+           fixed(100.0 * r.phaseFraction(r.cseCycles), 1),
+           fixed(100.0 * r.phaseFraction(r.lockCohCycles), 1),
            fixed(r.rttMean, 1), std::to_string(r.rttMax),
            std::to_string(r.earlyInvs), std::to_string(r.sleeps)});
 }
@@ -74,10 +70,10 @@ addResultRow(TablePrinter &t, const RunResult &r, int threads)
  * invalidations.
  */
 void
-printComponentStats(const RunResult &r)
+printComponentStats(const RunRecord &r)
 {
     std::printf("--- component statistics (%s / %s) ---\n",
-                r.benchmark.c_str(), mechanismName(r.mechanism));
+                r.benchmark.c_str(), r.mechanism.c_str());
     const JsonValue &groups = r.stats.at("groups");
     for (const auto &[prefix, label] :
          {std::pair{"router.", "routers.total"},
@@ -168,22 +164,20 @@ run(int argc, char **argv)
               "cs_completed", "parallel%", "coh%", "cse%", "lco%",
               "rtt_mean", "rtt_max", "early_invs", "sleeps"});
 
-    const int threads = rc.system.numCores();
     JsonValue runs = JsonValue::array();
     auto one_run = [&](const RunConfig &run_rc) {
-        RunResult r = runBenchmark(run_rc);
+        RunRecord r = runBenchmark(run_rc);
         if (dump)
             printComponentStats(r);
-        addResultRow(t, r, threads);
+        addResultRow(t, r);
         if (ledger)
-            ledger->append(makeRunRecord(run_rc, r));
+            ledger->append(r);
         if (!stats_json_path.empty()) {
             JsonValue entry = JsonValue::object();
             entry["benchmark"] = r.benchmark;
-            entry["mechanism"] = mechanismName(r.mechanism);
-            entry["lock"] = lockKindName(r.lockKind);
-            entry["roi_cycles"] =
-                static_cast<std::uint64_t>(r.roiCycles);
+            entry["mechanism"] = r.mechanism;
+            entry["lock"] = r.lock;
+            entry["roi_cycles"] = r.roiCycles;
             entry["cs_completed"] = r.csCompleted;
             entry["stats"] = std::move(r.stats);
             runs.push(std::move(entry));
