@@ -13,7 +13,7 @@
  *   inpg::RunConfig rc;
  *   rc.profile = inpg::benchmarkByName("freq");
  *   rc.system = cfg;
- *   inpg::RunResult r = inpg::runBenchmark(rc);
+  *   inpg::RunRecord r = inpg::runBenchmark(rc);
  *
  * Layering (each header usable on its own; lower layers never include
  * higher ones):

@@ -70,6 +70,18 @@ StatsRegistry::histogramToJson(const Histogram &h)
     return j;
 }
 
+Histogram
+StatsRegistry::histogramFromJson(const JsonValue &j, std::uint64_t bin_width,
+                                 std::size_t num_bins)
+{
+    std::vector<std::uint64_t> bins(num_bins);
+    for (const JsonValue &b : j.at("bins").items())
+        bins.at(b.at("lo").asUint() / bin_width) = b.at("count").asUint();
+    return Histogram(bin_width, std::move(bins), j.at("overflow").asUint(),
+                     j.at("sum").asUint(), j.at("min").asUint(),
+                     j.at("max").asUint());
+}
+
 JsonValue
 StatsRegistry::snapshot() const
 {

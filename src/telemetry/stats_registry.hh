@@ -51,6 +51,14 @@ class StatsRegistry
     /** Convert one Histogram (moments + non-empty bins) to JSON. */
     static JsonValue histogramToJson(const Histogram &h);
 
+    /**
+     * Rebuild the Histogram histogramToJson() described, given the bin
+     * geometry that document omits.
+     */
+    static Histogram histogramFromJson(const JsonValue &j,
+                                       std::uint64_t bin_width,
+                                       std::size_t num_bins);
+
   private:
     std::vector<std::pair<std::string, const StatGroup *>> groups;
     std::vector<std::pair<std::string, std::function<double()>>> scalars;

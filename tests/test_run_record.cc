@@ -212,6 +212,65 @@ TEST(RunRecord, ConfigKeyPairsAcrossThreadsAndSplitsFigureKnobs)
     for (const RunRecord &k : knobs)
         keys.insert(k.configKey());
     EXPECT_EQ(keys.size(), knobs.size() + 1);
+
+    // A pinned lock home (Fig. 10's tile (5,6)) splits the identity;
+    // a record that never had the key reads back as "none" and pairs
+    // with an unpinned run.
+    RunRecord e = a;
+    e.lockHome = "53";
+    EXPECT_NE(a.configKey(), e.configKey());
+    JsonValue doc = a.toJson();
+    JsonValue cfg = JsonValue::object();
+    for (const auto &[key, v] : doc.at("config").members())
+        if (key != "lock_home")
+            cfg[key] = v;
+    doc["config"] = std::move(cfg);
+    const RunRecord old = RunRecord::fromJson(doc);
+    EXPECT_EQ(old.lockHome, "none");
+    EXPECT_EQ(old.configKey(), a.configKey());
+}
+
+TEST(RunRecord, RttAndPhasesSectionsRoundTrip)
+{
+    RunRecord rec = makeRecord("iNPG", "TAS", 1, 5000);
+    Histogram live(5, 4);
+    for (std::uint64_t v : {3, 7, 7, 12, 19, 44, 250})
+        live.add(v);
+    rec.rtt = RunRtt{{12.5, 0, 1.0 / 3}, 4, 3, live};
+    rec.phases = {{{0, 0}, {120, 1}, {180, 3}, {260, 4}},
+                  {{0, 0}, {90, 2}}};
+
+    const std::string line = rec.toJson().dump(0);
+    std::string err;
+    const RunRecord back =
+        RunRecord::fromJson(JsonValue::parse(line), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(back.toJson().dump(0), line);
+
+    ASSERT_TRUE(back.rtt.has_value());
+    EXPECT_EQ(back.rtt->perCoreMean, rec.rtt->perCoreMean);
+    EXPECT_EQ(back.rtt->earlyCount, 4u);
+    EXPECT_EQ(back.rtt->homeCount, 3u);
+    const Histogram &h = back.rtt->histogram;
+    EXPECT_EQ(h.count(), live.count());
+    EXPECT_EQ(h.overflowCount(), 2u);
+    EXPECT_EQ(h.mean(), live.mean());
+    EXPECT_EQ(h.min(), live.min());
+    EXPECT_EQ(h.max(), live.max());
+    EXPECT_EQ(h.percentile(0.95), live.percentile(0.95));
+    EXPECT_EQ(h.render(), live.render());
+    ASSERT_EQ(back.phases.size(), 2u);
+    EXPECT_EQ(back.phases[0][2].at, 180u);
+    EXPECT_EQ(back.phases[0][2].phase, 3);
+    EXPECT_EQ(back.phases[1][1].phase, 2);
+
+    // Absent sections are not emitted and read back absent.
+    const JsonValue bare = makeRecord("iNPG", "TAS", 1, 5000).toJson();
+    EXPECT_FALSE(bare.contains("rtt"));
+    EXPECT_FALSE(bare.contains("phases"));
+    const RunRecord bare_back = RunRecord::fromJson(bare);
+    EXPECT_FALSE(bare_back.rtt.has_value());
+    EXPECT_TRUE(bare_back.phases.empty());
 }
 
 TEST(ExperimentLedger, ConcurrentAppendsNeverTearLines)
