@@ -5,7 +5,7 @@
  * barriers installed, GetX requests stopped, early invalidations
  * generated, acks relayed, and what that did to the Inv-Ack round trip.
  *
- * Usage: inpg_tour [mesh_width=4] [mesh_height=4] [rounds=6]
+ * Usage: inpg_tour [topology=mesh:4x4] [rounds=6]
  */
 
 #include <cstdio>
@@ -60,10 +60,8 @@ main(int argc, char **argv)
     Cycle base_cycles = 0;
     for (Mechanism m : {Mechanism::Original, Mechanism::Inpg}) {
         SystemConfig sc;
-        sc.noc.meshWidth =
-            static_cast<int>(overrides.getInt("mesh_width", 4));
-        sc.noc.meshHeight =
-            static_cast<int>(overrides.getInt("mesh_height", 4));
+        sc.noc.meshWidth = 4;
+        sc.noc.meshHeight = 4;
         sc.applyOverrides(overrides);
         sc.mechanism = m;
         sc.lockKind = LockKind::Tas;

@@ -4,7 +4,7 @@
  * benchmark profile (paper Section 2.1's menagerie), with and without
  * iNPG -- a compact view of Figures 2 and 13.
  *
- * Usage: lock_duel [benchmark=fluid] [cs_scale=0.1] [mesh_width=8] ...
+ * Usage: lock_duel [benchmark=fluid] [cs_scale=0.1] [topology=mesh:8x8] ...
  */
 
 #include <cstdio>

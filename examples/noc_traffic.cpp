@@ -6,7 +6,7 @@
  * the congestion regime iNPG's home node lives in.
  *
  * Usage: noc_traffic [pattern=uniform|hotspot] [rate=0.05]
- *                    [cycles=20000] [mesh_width=8] [mesh_height=8]
+ *                    [cycles=20000] [topology=mesh:8x8]
  *                    [data_fraction=0.3] [hotspot_node=53]
  */
 
@@ -18,6 +18,7 @@
 #include "common/rng.hh"
 #include "common/strutil.hh"
 #include "noc/network.hh"
+#include "noc/topology.hh"
 #include "sim/simulator.hh"
 
 using namespace inpg;
@@ -29,8 +30,7 @@ main(int argc, char **argv)
     cfg.loadArgs(argc, argv);
 
     NocConfig noc;
-    noc.meshWidth = static_cast<int>(cfg.getInt("mesh_width", 8));
-    noc.meshHeight = static_cast<int>(cfg.getInt("mesh_height", 8));
+    TopologySpec::parse(cfg.getString("topology", "mesh:8x8")).applyTo(noc);
     const std::string pattern = cfg.getString("pattern", "uniform");
     const double rate = cfg.getDouble("rate", 0.05);
     const Cycle cycles = static_cast<Cycle>(cfg.getInt("cycles", 20000));

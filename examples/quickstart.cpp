@@ -12,8 +12,8 @@
  * Perfetto-loadable Chrome trace plus a JSON stats snapshot of the
  * iNPG run.
  *
- * Usage: quickstart [benchmark=face] [lock=tas] [mesh_width=8]
- *                   [mesh_height=8] [cs_scale=0.1] [seed=1]
+ * Usage: quickstart [benchmark=face] [lock=tas] [topology=mesh:8x8]
+ *                   [cs_scale=0.1] [seed=1]
  *                   [trace_out=quickstart_trace.json]
  *                   [stats_json=quickstart_stats.json] ...
  */

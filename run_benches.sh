@@ -1,6 +1,6 @@
 #!/bin/sh
-# Regenerate every paper table/figure (see README): bench_figures plus
-# the Fig. 7 and Table 1 binaries.
+# Regenerate every paper table/figure (see README): bench_figures, the
+# one paper-artifact binary.
 # --quick:    only the experiment-ledger regression gate: a fresh
 #             mini-sweep is written to build/BENCH_ledger.jsonl and
 #             checked bit-exactly with `inpg_report regress` against
@@ -98,15 +98,5 @@ if [ "$1" = "--quick" ]; then
     cat "$fresh" >> "$INPG_LEDGER_PATH"
     exit 0
 fi
-# The paper-artifact binaries by name: a glob would also run
-# bench_micro (which rejects the figure keys) and any stale binary an
-# older build left in build/bench.
-for name in bench_table1_config bench_fig07_synthesis bench_figures; do
-    b="$repo_root/build/bench/$name"
-    [ -x "$b" ] || continue
-    echo "################################################################"
-    echo "### $b"
-    echo "################################################################"
-    "$b" "$@"
-    echo
-done
+# Every paper table and figure; the arguments are bench_figures keys.
+exec "$repo_root/build/bench/bench_figures" "$@"

@@ -64,6 +64,8 @@ struct CohConfig {
         return (static_cast<Addr>(home) +
                 n * static_cast<Addr>(numNodes)) * lineSize;
     }
+
+    bool operator==(const CohConfig &) const = default;
 };
 
 } // namespace inpg

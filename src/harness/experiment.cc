@@ -66,32 +66,10 @@ traceOutPathFor(const std::string &base, Mechanism m)
 }
 
 RunRecord
-runBenchmark(const RunConfig &run_cfg)
+runIdentity(const RunConfig &run_cfg)
 {
     SystemConfig sys_cfg = run_cfg.system;
-    if (!run_cfg.traceOutPath.empty()) {
-        sys_cfg.telemetry.traceEvents = true;
-        sys_cfg.telemetry.packets = true;
-    }
-    if (!run_cfg.timeseriesOutPath.empty() &&
-        sys_cfg.telemetry.timeseriesEpoch == 0)
-        sys_cfg.telemetry.timeseriesEpoch = DEFAULT_TIMESERIES_EPOCH;
     sys_cfg.finalize();
-    System system(sys_cfg);
-
-    Workload::Params wp;
-    wp.profile = run_cfg.profile;
-    wp.threads = sys_cfg.numCores();
-    wp.csScale = run_cfg.csScale;
-    wp.lockHome = run_cfg.lockHome;
-    wp.lockKind = sys_cfg.lockKind;
-    wp.seed = sys_cfg.seed;
-    Workload workload(wp, system.coherent(), system.locks(),
-                      system.sim());
-
-    workload.start();
-    system.runUntil([&] { return workload.done(); }, run_cfg.maxCycles);
-
     RunRecord r;
     if (const char *sha = std::getenv("INPG_GIT_SHA"))
         r.gitSha = sha;
@@ -120,7 +98,37 @@ runBenchmark(const RunConfig &run_cfg)
     r.numLocks = run_cfg.profile.numLocks;
     if (run_cfg.lockHome != INVALID_NODE)
         r.lockHome = std::to_string(run_cfg.lockHome);
+    return r;
+}
 
+RunRecord
+runBenchmark(const RunConfig &run_cfg)
+{
+    SystemConfig sys_cfg = run_cfg.system;
+    if (!run_cfg.traceOutPath.empty()) {
+        sys_cfg.telemetry.traceEvents = true;
+        sys_cfg.telemetry.packets = true;
+    }
+    if (!run_cfg.timeseriesOutPath.empty() &&
+        sys_cfg.telemetry.timeseriesEpoch == 0)
+        sys_cfg.telemetry.timeseriesEpoch = DEFAULT_TIMESERIES_EPOCH;
+    sys_cfg.finalize();
+    System system(sys_cfg);
+
+    Workload::Params wp;
+    wp.profile = run_cfg.profile;
+    wp.threads = sys_cfg.numCores();
+    wp.csScale = run_cfg.csScale;
+    wp.lockHome = run_cfg.lockHome;
+    wp.lockKind = sys_cfg.lockKind;
+    wp.seed = sys_cfg.seed;
+    Workload workload(wp, system.coherent(), system.locks(),
+                      system.sim());
+
+    workload.start();
+    system.runUntil([&] { return workload.done(); }, run_cfg.maxCycles);
+
+    RunRecord r = runIdentity(run_cfg);
     r.roiCycles = workload.roiFinish();
     r.csCompleted = workload.csCompleted();
     r.parallelCycles = workload.totalCycles(ThreadPhase::Parallel);

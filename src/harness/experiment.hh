@@ -39,16 +39,25 @@ struct RunConfig {
      * not already set an epoch. Pure observer -- never changes results.
      */
     std::string timeseriesOutPath;
+
+    bool operator==(const RunConfig &) const = default;
 };
 
 /**
+ * The identity half of a run's RunRecord, without running it:
+ * provenance from the build and the INPG_GIT_SHA / INPG_GIT_DIRTY
+ * environment (run_benches.sh exports them), and the configuration
+ * fields from `cfg` with its system finalized. Its configKey() names
+ * the run before it runs.
+ */
+RunRecord runIdentity(const RunConfig &cfg);
+
+/**
  * Build a system, run the profile to completion, and describe the run
- * as a ledger RunRecord: configuration identity from the finalized
- * config, provenance from the build and the INPG_GIT_SHA /
- * INPG_GIT_DIRTY environment (run_benches.sh exports them), the
- * metrics, the rtt and phases sections, and the stats snapshot (with
- * its "lco" and "timeseries" sections attached). Deterministic for a
- * given RunConfig.
+ * as a ledger RunRecord: runIdentity(cfg) plus the metrics, the rtt
+ * and phases sections, and the stats snapshot (with its "lco" and
+ * "timeseries" sections attached). Deterministic for a given
+ * RunConfig.
  */
 RunRecord runBenchmark(const RunConfig &cfg);
 

@@ -89,7 +89,7 @@ const std::vector<std::string> &
 SystemConfig::overrideKeys()
 {
     static const std::vector<std::string> keys = {
-        "topology", "mesh_width", "mesh_height", "escape_vcs", "threads",
+        "topology", "escape_vcs", "threads",
         "vcs_per_vnet", "vc_depth", "l1_latency", "l2_latency",
         "mem_latency", "big_routers", "barrier_entries", "ei_entries",
         "barrier_ttl", "spin_interval", "qsl_retry_limit",
@@ -112,10 +112,6 @@ SystemConfig::applyOverrides(const Config &cfg)
             t = spec;
         TopologySpec::parse(t).applyTo(noc);
     }
-    noc.meshWidth = static_cast<int>(
-        cfg.getInt("mesh_width", noc.meshWidth));
-    noc.meshHeight = static_cast<int>(
-        cfg.getInt("mesh_height", noc.meshHeight));
     noc.escapeVcs = cfg.getBool("escape_vcs", noc.escapeVcs);
     threads = static_cast<int>(cfg.getInt("threads", threads));
     noc.vcsPerVnet = static_cast<int>(

@@ -65,6 +65,8 @@ struct SystemConfig {
     std::string describe() const;
 
     int numCores() const { return noc.numNodes(); }
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** Parse a mechanism name ("original", "ocor", "inpg", "inpg+ocor"). */

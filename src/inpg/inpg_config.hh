@@ -28,6 +28,8 @@ struct InpgConfig {
      * (paper default: 32 of 64, interleaved checkerboard).
      */
     int numBigRouters = 32;
+
+    bool operator==(const InpgConfig &) const = default;
 };
 
 /**

@@ -113,6 +113,8 @@ struct NocConfig {
 
     /** Cores / network endpoints (routers x concentration). */
     int numNodes() const { return numRouters() * concentration; }
+
+    bool operator==(const NocConfig &) const = default;
 };
 
 } // namespace inpg

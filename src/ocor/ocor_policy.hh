@@ -37,6 +37,8 @@ struct OcorConfig {
 
     /** Router aging quantum: cycles waited per +1 effective priority. */
     Cycle agingQuantum = 64;
+
+    bool operator==(const OcorConfig &) const = default;
 };
 
 /** RTR -> packet priority mapping. */

@@ -43,6 +43,8 @@ struct SyncConfig {
 
     /** OCOR RTR -> priority mapping parameters. */
     OcorConfig ocor;
+
+    bool operator==(const SyncConfig &) const = default;
 };
 
 } // namespace inpg

@@ -74,6 +74,8 @@ struct TelemetryConfig {
      * (FatalError). Also the INPG_TELEMETRY env-var format.
      */
     void applySpec(const std::string &spec);
+
+    bool operator==(const TelemetryConfig &) const = default;
 };
 
 /** Kernel-level profile: scheduler load and fast-forward behavior. */

@@ -66,6 +66,8 @@ struct BenchmarkProfile {
                      static_cast<double>(threads) * scale;
         return per < 2.0 ? 2 : static_cast<int>(per);
     }
+
+    bool operator==(const BenchmarkProfile &) const = default;
 };
 
 /** All 24 evaluated programs, grouped and ordered as in Figure 8b. */

@@ -52,7 +52,7 @@ TEST(SystemConfig, FinalizeDerivesPolicyFromMechanism)
 TEST(SystemConfig, OverridesApply)
 {
     Config o;
-    o.loadString("mesh_width = 4\nmesh_height = 2\nmechanism = inpg\n"
+    o.loadString("topology = mesh:4x2\nmechanism = inpg\n"
                   "lock = tas\nbig_routers = 3\nbarrier_ttl = 99\n");
     SystemConfig c;
     c.applyOverrides(o);

@@ -791,14 +791,6 @@ TEST(ParallelKernel, MeshPresetParsesWxH)
     EXPECT_EQ(cfg.noc.meshWidth, 16);
     EXPECT_EQ(cfg.noc.meshHeight, 16);
     EXPECT_EQ(cfg.threads, 4);
-
-    // Explicit dimension keys still win over the preset.
-    Config both;
-    both.loadString("topology = 16x16\nmesh_width = 8\nmesh_height = 4\n");
-    SystemConfig cfg2;
-    cfg2.applyOverrides(both);
-    EXPECT_EQ(cfg2.noc.meshWidth, 8);
-    EXPECT_EQ(cfg2.noc.meshHeight, 4);
 }
 
 TEST(ParallelKernel, ThreadsClampToSaneRange)

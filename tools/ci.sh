@@ -100,7 +100,7 @@ run_hang_smoke() {
     rm -f "$report"
     set +e
     "$repo_root/build/tools/inpg_sim" benchmark=freq \
-        mechanism=original lock=tas mesh_width=4 mesh_height=4 \
+        mechanism=original lock=tas topology=mesh:4x4 \
         drop_dir_response=1 watchdog_window=50000 \
         telemetry=recorder,packets \
         hang_report_out="$report" >/dev/null 2>&1

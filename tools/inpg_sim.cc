@@ -10,7 +10,7 @@
  * Usage:
  *   inpg_sim benchmark=freq mechanism=inpg lock=qsl cs_scale=0.1
  *   inpg_sim benchmark=all csv=1 > results.csv
- *   inpg_sim benchmark=kdtree dump_stats=1 mesh_width=4 mesh_height=4
+ *   inpg_sim benchmark=kdtree dump_stats=1 topology=mesh:4x4
  *   inpg_sim benchmark=freq topology=torus:8x8     # wraparound fabric
  *   inpg_sim benchmark=freq topology=cmesh:4x4x4   # 4 cores/router
  *   inpg_sim benchmark=freq topology=mesh:16x16 threads=4  # parallel
