@@ -1,6 +1,7 @@
 #include "common/histogram.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -74,16 +75,14 @@ Histogram::percentile(double fraction) const
 {
     if (total == 0)
         return 0;
+    // Nearest rank: the smallest bin holding at least that many samples.
     fraction = std::clamp(fraction, 0.0, 1.0);
-    const std::uint64_t needed = static_cast<std::uint64_t>(
-        fraction * static_cast<double>(total));
+    const std::uint64_t needed = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(fraction * static_cast<double>(total))));
     std::uint64_t running = 0;
     for (std::size_t i = 0; i < bins.size(); ++i) {
         running += bins[i];
-        if (running >= needed && bins[i] > 0)
-            return binHi(i);
-        if (running >= needed && running == total)
-            return binHi(i);
         if (running >= needed)
             return binHi(i);
     }

@@ -150,6 +150,15 @@ TEST(Histogram, PercentileAtBinGranularity)
         h.add(95); // bin 9
     EXPECT_EQ(h.percentile(0.5), 9u);   // upper edge of bin 0
     EXPECT_EQ(h.percentile(0.99), 99u); // upper edge of bin 9
+
+    // Fewer than one sample's worth of rank still needs one sample.
+    Histogram one(5, 40);
+    one.add(37);
+    EXPECT_EQ(one.percentile(0.5), 39u);
+    Histogram ten(5, 40);
+    for (int i = 0; i < 10; ++i)
+        ten.add(100);
+    EXPECT_EQ(ten.percentile(0.05), 104u);
 }
 
 TEST(Histogram, RenderListsNonEmptyBins)
