@@ -26,52 +26,28 @@ struct MetricDef {
     bool isDouble;
 };
 
+/** A RunRecord field as a double. */
+template <auto Field>
+double
+field(const RunRecord &r)
+{
+    return static_cast<double>(r.*Field);
+}
+
 constexpr MetricDef METRICS[] = {
-    {"roi_cycles",
-     [](const RunRecord &r) { return static_cast<double>(r.roiCycles); },
-     false},
-    {"cs_completed",
-     [](const RunRecord &r) {
-         return static_cast<double>(r.csCompleted);
-     },
-     false},
-    {"parallel_cycles",
-     [](const RunRecord &r) {
-         return static_cast<double>(r.parallelCycles);
-     },
-     false},
-    {"coh_cycles",
-     [](const RunRecord &r) { return static_cast<double>(r.cohCycles); },
-     false},
-    {"sleep_cycles",
-     [](const RunRecord &r) {
-         return static_cast<double>(r.sleepCycles);
-     },
-     false},
-    {"cse_cycles",
-     [](const RunRecord &r) { return static_cast<double>(r.cseCycles); },
-     false},
-    {"lock_coh_cycles",
-     [](const RunRecord &r) {
-         return static_cast<double>(r.lockCohCycles);
-     },
-     false},
-    {"rtt_mean", [](const RunRecord &r) { return r.rttMean; }, true},
-    {"rtt_max",
-     [](const RunRecord &r) { return static_cast<double>(r.rttMax); },
-     false},
-    {"rtt_count",
-     [](const RunRecord &r) { return static_cast<double>(r.rttCount); },
-     false},
-    {"early_invs",
-     [](const RunRecord &r) { return static_cast<double>(r.earlyInvs); },
-     false},
-    {"sleeps",
-     [](const RunRecord &r) { return static_cast<double>(r.sleeps); },
-     false},
-    {"wakeups",
-     [](const RunRecord &r) { return static_cast<double>(r.wakeups); },
-     false},
+    {"roi_cycles", field<&RunRecord::roiCycles>, false},
+    {"cs_completed", field<&RunRecord::csCompleted>, false},
+    {"parallel_cycles", field<&RunRecord::parallelCycles>, false},
+    {"coh_cycles", field<&RunRecord::cohCycles>, false},
+    {"sleep_cycles", field<&RunRecord::sleepCycles>, false},
+    {"cse_cycles", field<&RunRecord::cseCycles>, false},
+    {"lock_coh_cycles", field<&RunRecord::lockCohCycles>, false},
+    {"rtt_mean", field<&RunRecord::rttMean>, true},
+    {"rtt_max", field<&RunRecord::rttMax>, false},
+    {"rtt_count", field<&RunRecord::rttCount>, false},
+    {"early_invs", field<&RunRecord::earlyInvs>, false},
+    {"sleeps", field<&RunRecord::sleeps>, false},
+    {"wakeups", field<&RunRecord::wakeups>, false},
 };
 
 /** Float-formatting epsilon for double-valued metrics. */
@@ -100,20 +76,6 @@ findKey(const std::vector<std::pair<std::string, const RunRecord *>> &s,
     return nullptr;
 }
 
-/** First-occurrence index of each config key. */
-std::vector<std::pair<std::string, const RunRecord *>>
-keyedRecords(const std::vector<RunRecord> &records)
-{
-    std::vector<std::pair<std::string, const RunRecord *>> out;
-    out.reserve(records.size());
-    for (const RunRecord &r : records) {
-        std::string key = r.configKey();
-        if (!findKey(out, key))
-            out.emplace_back(std::move(key), &r);
-    }
-    return out;
-}
-
 std::string
 formatMetric(double v)
 {
@@ -127,50 +89,20 @@ formatMetric(double v)
     return buf;
 }
 
-// ---------------------------------------------------------------------
-// aggregate
-// ---------------------------------------------------------------------
-
-/** Canonical Fig-2 lock column order. */
-constexpr const char *LOCK_ORDER[] = {"TAS", "TTL", "ABQL", "MCS",
-                                      "QSL"};
-
-/** Paper-order mechanism columns for the speedup table. */
-constexpr const char *MECH_ORDER[] = {"Original", "OCOR", "iNPG",
-                                      "iNPG+OCOR"};
-
-template <typename T>
-void
-addUnique(std::vector<T> &v, const T &x)
-{
-    if (std::find(v.begin(), v.end(), x) == v.end())
-        v.push_back(x);
-}
-
-std::string
-markdownRow(const std::vector<std::string> &cells)
-{
-    std::string out = "|";
-    for (const auto &c : cells) {
-        out += ' ';
-        out += c;
-        out += " |";
-    }
-    out += '\n';
-    return out;
-}
-
-std::string
-markdownRule(std::size_t cols)
-{
-    std::string out = "|";
-    for (std::size_t i = 0; i < cols; ++i)
-        out += "---|";
-    out += '\n';
-    return out;
-}
-
 } // namespace
+
+std::vector<std::pair<std::string, const RunRecord *>>
+keyedRecords(const std::vector<RunRecord> &records)
+{
+    std::vector<std::pair<std::string, const RunRecord *>> out;
+    out.reserve(records.size());
+    for (const RunRecord &r : records) {
+        std::string key = r.configKey();
+        if (!findKey(out, key))
+            out.emplace_back(std::move(key), &r);
+    }
+    return out;
+}
 
 DiffResult
 diffLedgers(const std::vector<RunRecord> &a,
@@ -225,186 +157,6 @@ DiffResult::render(const ReportOptions &opts) const
         out += format("%zu paired config(s) compared\n", pairedConfigs);
     out += format("inpg_report diff: %zu differing metric(s)\n",
                   deltas.size());
-    return out;
-}
-
-double
-lcoShare(const std::vector<const RunRecord *> &runs)
-{
-    const double roi = seedMean(runs, &RunRecord::roiCycles);
-    if (roi <= 0)
-        return 0;
-    return seedMean(runs, &RunRecord::lockCohCycles) /
-           (roi * static_cast<double>(runs.front()->cores));
-}
-
-std::string
-aggregateReport(const std::vector<RunRecord> &records)
-{
-    std::string out = "# Experiment ledger aggregate\n\n";
-    out += format("%zu record(s)", records.size());
-    std::vector<std::string> shas;
-    for (const RunRecord &r : records)
-        addUnique(shas, r.gitSha +
-                            (r.gitDirty ? std::string("+dirty")
-                                        : std::string()));
-    if (!shas.empty()) {
-        out += ", commit ";
-        for (std::size_t i = 0; i < shas.size(); ++i)
-            out += (i ? ", " : "") + shas[i];
-    }
-    out += "\n";
-
-    // -- Fig-2 LCO share table ----------------------------------------
-    // bench_figures' Fig. 2 formula and rounding: lcoShare() over the
-    // cell's records (the ratio of seed means), one decimal. Rows are
-    // (benchmark, mechanism) in first-appearance order; columns the
-    // canonical lock order, filtered to locks actually present.
-    std::vector<std::string> locks;
-    for (const char *l : LOCK_ORDER)
-        for (const RunRecord &r : records)
-            if (r.lock == l) {
-                addUnique(locks, std::string(l));
-                break;
-            }
-    std::vector<std::pair<std::string, std::string>> lcoRows;
-    for (const RunRecord &r : records)
-        addUnique(lcoRows, std::make_pair(r.benchmark, r.mechanism));
-    if (!locks.empty() && !lcoRows.empty()) {
-        out += "\n## LCO share of running time (Fig. 2)\n\n";
-        out += "lco% = mean lock_coh_cycles / (mean roi_cycles x "
-               "cores), means over seeds.\n\n";
-        std::vector<std::string> header{"benchmark", "mechanism"};
-        header.insert(header.end(), locks.begin(), locks.end());
-        out += markdownRow(header);
-        out += markdownRule(header.size());
-        for (const auto &row : lcoRows) {
-            std::vector<std::string> cells{row.first, row.second};
-            bool any = false;
-            for (const std::string &lk : locks) {
-                std::vector<const RunRecord *> runs;
-                for (const RunRecord &r : records)
-                    if (r.benchmark == row.first &&
-                        r.mechanism == row.second && r.lock == lk &&
-                        r.roiCycles != 0 && r.cores != 0)
-                        runs.push_back(&r);
-                cells.push_back(runs.empty()
-                                    ? "-"
-                                    : fixed(100.0 * lcoShare(runs), 1) +
-                                          "%");
-                any = any || !runs.empty();
-            }
-            if (any)
-                out += markdownRow(cells);
-        }
-    }
-
-    // -- LCO home / big-router invalidation split ---------------------
-    // Only runs recorded with telemetry=lco carry the attribution
-    // section; the split is the paper's mechanism made visible: iNPG
-    // moves InvAck service from the home node to big routers.
-    bool anyLco = false;
-    for (const RunRecord &r : records)
-        if (!r.lco.isNull() && r.lco.at("acquires").asUint() > 0)
-            anyLco = true;
-    if (anyLco) {
-        out += "\n## LCO invalidation service split "
-               "(home node vs big router)\n\n";
-        std::vector<std::string> header{
-            "benchmark", "mechanism",     "lock",
-            "acquires",  "mean latency",  "home InvAcks",
-            "big-router InvAcks", "early share"};
-        out += markdownRow(header);
-        out += markdownRule(header.size());
-        for (const RunRecord &r : records) {
-            if (r.lco.isNull() || r.lco.at("acquires").asUint() == 0)
-                continue;
-            const double home = static_cast<double>(
-                r.lco.at("home_inv_acks").asUint());
-            const double early = static_cast<double>(
-                r.lco.at("early_inv_acks").asUint());
-            const double total = home + early;
-            out += markdownRow(
-                {r.benchmark, r.mechanism, r.lock,
-                 format("%llu", static_cast<unsigned long long>(
-                                    r.lco.at("acquires").asUint())),
-                 fixed(r.lco.at("mean_latency").asDouble(), 1),
-                 formatMetric(home), formatMetric(early),
-                 total > 0 ? fixed(100.0 * early / total, 1) + "%"
-                           : "-"});
-        }
-    }
-
-    // -- Speedup vs core count ----------------------------------------
-    // Per (benchmark, lock, topology) group with an Original record:
-    // speedup = roi(Original) / roi(mechanism), seed-averaged ROIs.
-    struct ScaleRow {
-        std::string benchmark, lock, topology;
-        int cores = 0; ///< follows from the topology
-
-        bool operator==(const ScaleRow &) const = default;
-    };
-    std::vector<ScaleRow> scaleRows;
-    for (const RunRecord &r : records)
-        addUnique(scaleRows,
-                  ScaleRow{r.benchmark, r.lock, r.topology, r.cores});
-    std::stable_sort(scaleRows.begin(), scaleRows.end(),
-                     [](const ScaleRow &a, const ScaleRow &b) {
-                         return a.cores < b.cores;
-                     });
-    std::vector<std::string> mechs;
-    for (const char *m : MECH_ORDER)
-        for (const RunRecord &r : records)
-            if (r.mechanism == m) {
-                addUnique(mechs, std::string(m));
-                break;
-            }
-    const bool haveOriginal =
-        std::find(mechs.begin(), mechs.end(), "Original") !=
-        mechs.end();
-    if (haveOriginal && mechs.size() > 1) {
-        out += "\n## ROI speedup vs cores "
-               "(roi(Original) / roi(mechanism))\n\n";
-        std::vector<std::string> header{"benchmark", "lock",
-                                        "topology", "cores",
-                                        "Original ROI"};
-        for (const std::string &m : mechs)
-            if (m != "Original")
-                header.push_back(m);
-        out += markdownRow(header);
-        out += markdownRule(header.size());
-        for (const ScaleRow &s : scaleRows) {
-            auto runsOf = [&](const std::string &mech) {
-                std::vector<const RunRecord *> runs;
-                for (const RunRecord &r : records)
-                    if (r.benchmark == s.benchmark &&
-                        r.lock == s.lock && r.topology == s.topology &&
-                        r.mechanism == mech)
-                        runs.push_back(&r);
-                return runs;
-            };
-            const auto orig = runsOf("Original");
-            if (orig.empty())
-                continue;
-            const double origRoi = seedMean(orig, &RunRecord::roiCycles);
-            std::vector<std::string> cells{
-                s.benchmark, s.lock, s.topology,
-                format("%d", s.cores),
-                formatMetric(std::floor(origRoi))};
-            bool any = false;
-            for (const std::string &m : mechs) {
-                if (m == "Original")
-                    continue;
-                const auto runs = runsOf(m);
-                const double roi = seedMean(runs, &RunRecord::roiCycles);
-                cells.push_back(roi > 0 ? fixed(origRoi / roi, 2) + "x"
-                                        : "-");
-                any = any || !runs.empty();
-            }
-            if (any)
-                out += markdownRow(cells);
-        }
-    }
     return out;
 }
 

@@ -11,13 +11,6 @@
  *                     host-time measurements (the parallel profiler's
  *                     ns counters, anything under stats host sections)
  *                     are never compared at all.
- *  - aggregateReport(): ledger -> markdown paper-figure tables: the
- *                     Fig-2 LCO share table (lcoShare(), the formula
- *                     bench_figures' Fig. 2 prints), the LCO
- *                     home/big-router InvAck split, and speedup vs
- *                     core count per mechanism.
- *  - seedMean() / lcoShare(): the one seed-averaging arithmetic that
- *                     every figure table and aggregateReport() use.
  *  - regressLedger(): fresh ledger vs committed baseline -> pass/fail
  *                     gate (used by run_benches.sh --quick and ci.sh):
  *                     fails on any metric delta and on any baseline
@@ -30,8 +23,8 @@
 #ifndef INPG_TELEMETRY_REPORT_HH
 #define INPG_TELEMETRY_REPORT_HH
 
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "telemetry/run_record.hh"
@@ -82,30 +75,12 @@ DiffResult diffLedgers(const std::vector<RunRecord> &a,
                        const ReportOptions &opts = {});
 
 /**
- * Seed mean of `metric` -- a RunRecord member pointer or a function of
- * a record -- over `runs`, one configuration under several seeds: the
- * sum in the given order, then one division by the count (0 for no
- * runs). Every seed-averaged figure cell uses this.
+ * Each distinct RunRecord::configKey() of `records` with its first
+ * record, in first-occurrence order: how diffLedgers() pairs runs and
+ * how renderFigures() reads a ledger.
  */
-template <typename Metric>
-double
-seedMean(const std::vector<const RunRecord *> &runs, Metric metric)
-{
-    double sum = 0;
-    for (const RunRecord *r : runs)
-        sum += static_cast<double>(std::invoke(metric, *r));
-    return runs.empty() ? 0 : sum / static_cast<double>(runs.size());
-}
-
-/**
- * Paper Fig. 2's LCO share of one configuration: the ratio of seed
- * means, seedMean(lock_coh_cycles) / (seedMean(roi_cycles) x cores),
- * with cores from the first run (0 when there is no ROI).
- */
-double lcoShare(const std::vector<const RunRecord *> &runs);
-
-/** Ledger -> markdown tables; see the file comment. */
-std::string aggregateReport(const std::vector<RunRecord> &records);
+std::vector<std::pair<std::string, const RunRecord *>>
+keyedRecords(const std::vector<RunRecord> &records);
 
 /** Outcome of a regression gate. */
 struct RegressResult {

@@ -10,7 +10,7 @@
  * Records are appended to an **experiment ledger**: a JSONL file, one
  * record per line, append-only. `inpg_sim --ledger-out=...`, the sweep
  * runner, and `run_benches.sh --ledger-out=...` all write the same
- * schema, and `tools/inpg_report` consumes it (diff / aggregate /
+ * schema, and `tools/inpg_report` consumes it (diff / figures /
  * regress). The schema is versioned so readers can refuse records they
  * do not understand instead of mis-parsing them.
  *

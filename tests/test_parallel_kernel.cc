@@ -328,20 +328,26 @@ TEST(ParallelKernel, ProfileCountersMatchGoldenTorus4x4)
 
 TEST(ParallelKernel, GateSpinCatchesHandoff)
 {
+    // An epoch already published is caught by the spin's first load:
+    // await returns without parking.
+    {
+        QuantumGate gate;
+        gate.release(1);
+        EXPECT_FALSE(gate.await(1));
+    }
+
     // The waiter is spinning (it announced itself) when the epoch is
-    // published; the spin budget is tens of microseconds and the
-    // yield hands a shared core to the publisher, so the spin catches
-    // most handoffs. One caught handoff is enough to show the path.
+    // published. Whether it catches the epoch spinning or parked
+    // depends on the host's scheduler, so only the payload the
+    // release/acquire pair orders is checked.
     constexpr int TRIALS = 200;
     QuantumGate gate;
     std::atomic<std::uint64_t> spinning{0};
     int payload = 0;
-    int caught = 0;
     std::thread waiter([&] {
         for (std::uint64_t e = 1; e <= TRIALS; ++e) {
             spinning.store(e, std::memory_order_release);
-            if (!gate.await(e))
-                ++caught;
+            gate.await(e);
             EXPECT_EQ(payload, static_cast<int>(e));
         }
     });
@@ -352,7 +358,6 @@ TEST(ParallelKernel, GateSpinCatchesHandoff)
         gate.release(e);
     }
     waiter.join();
-    EXPECT_GT(caught, 0);
 }
 
 TEST(ParallelKernel, GateWaiterOutlastingBudgetParksAndWakes)

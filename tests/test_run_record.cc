@@ -4,8 +4,8 @@
  * (parse(dump(x)).dump() == dump(x), signedness and escape handling),
  * the RunRecord canonical serialization contract, schema-version
  * refusal, configKey pairing semantics, torn-line-free concurrent
- * ledger appends, and the determinism of the diff / aggregate /
- * regress reports built on top.
+ * ledger appends, the determinism of the diff / regress reports built
+ * on top, and the figures' seed-mean arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/figures.hh"
 #include "telemetry/json.hh"
 #include "telemetry/report.hh"
 #include "telemetry/run_record.hh"
@@ -366,44 +367,24 @@ TEST(Report, RegressGatesFreshAgainstBaseline)
     EXPECT_FALSE(regressLedger(partial, baseline).pass);
 }
 
-TEST(Report, AggregateFig2IsRatioOfSeedMeans)
+TEST(Figures, LcoShareIsRatioOfSeedMeans)
 {
     // Two seeds whose per-seed LCO shares are 10% and 3.33%: the mean
-    // of the ratios would print 6.7%, the ratio of the seed means
-    // 1600 / (2000 x 16) prints 5.0%.
+    // of the ratios would be 6.7%, the ratio of the seed means
+    // 1600 / (2000 x 16) is 5.0%.
     std::vector<RunRecord> records = {
         makeRecord("Original", "TAS", 1, 1000),
         makeRecord("Original", "TAS", 2, 3000)};
     for (RunRecord &r : records)
         r.lockCohCycles = 1600;
-    const std::string report = aggregateReport(records);
-    EXPECT_NE(report.find("| freq | Original | 5.0% |"),
-              std::string::npos)
-        << report;
-
     const std::vector<const RunRecord *> runs{&records[0], &records[1]};
     EXPECT_DOUBLE_EQ(lcoShare(runs), 0.05);
     EXPECT_DOUBLE_EQ(seedMean(runs, &RunRecord::roiCycles), 2000.0);
+    // A member function averages like a member: COH is ROI / 8, CSE 23.
+    EXPECT_DOUBLE_EQ(seedMean(runs, &RunRecord::csTotalCycles),
+                     (125 + 23 + 375 + 23) / 2.0);
     EXPECT_EQ(seedMean({}, &RunRecord::roiCycles), 0.0);
-}
-
-TEST(Report, AggregateIsDeterministic)
-{
-    std::vector<RunRecord> records;
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-        for (const char *mech : {"Original", "iNPG"}) {
-            for (const char *lock : {"TAS", "QSL"}) {
-                records.push_back(
-                    makeRecord(mech, lock, seed, 4000 + 100 * seed));
-            }
-        }
-    }
-    const std::string report = aggregateReport(records);
-    EXPECT_EQ(report, aggregateReport(records));
-    // The Fig-2 table and its row labels are present.
-    EXPECT_NE(report.find("LCO share of running time"),
-              std::string::npos);
-    EXPECT_NE(report.find("iNPG"), std::string::npos);
+    EXPECT_EQ(lcoShare({}), 0.0);
 }
 
 } // namespace

@@ -20,8 +20,9 @@
 #      complete;
 #   5. experiment-ledger report smoke -- identical tiny configs must
 #      diff clean under tools/inpg_report, an injected metric delta
-#      must be caught by diff and regress, and aggregate must render
-#      the Fig-2 LCO table from a fresh ledger;
+#      must be caught by diff and regress, and `inpg_report figures`
+#      over a fresh bench_figures fig=02 ledger must print that run's
+#      stdout byte for byte;
 #   6. model check -- tools/protocol_mc explores the composed
 #      MOESI x iNPG protocol: exhaustive at N=2 (every scenario, big
 #      router on and off) and N=3 without the big router, bounded at
@@ -45,8 +46,8 @@
 #   --report-only run just the experiment-ledger report smoke (the
 #                ci-report-smoke ctest entry): identical configs must
 #                diff clean, an injected metric delta must be caught,
-#                and `inpg_report aggregate` must render the Fig-2
-#                table from a fresh ledger.
+#                and `inpg_report figures` over a fresh Fig. 2
+#                ledger must equal bench_figures' stdout.
 # Expects ./build to be configured (configures it if missing). Wired
 # as the `ci-smoke` ctest when the tree is configured with
 # -DINPG_CI_SMOKE=ON; off by default because it builds and tests a
@@ -166,18 +167,21 @@ run_torus_smoke() {
 
 # Experiment-ledger report smoke: two identical tiny configs must diff
 # clean (exit 0); an injected single-metric delta must be caught by
-# both diff and regress (exit 1); and `inpg_report aggregate` must
-# render the Fig-2 LCO table from the fresh ledger. All runs are
-# deterministic, so the stage needs no committed fixture.
+# both diff and regress (exit 1); and `inpg_report figures` over the
+# ledger of a `bench_figures fig=02` run must print that run's stdout
+# byte for byte. All runs are deterministic, so the stage needs no
+# committed fixture.
 run_report_smoke() {
     cmake --build "$repo_root/build" -j "$(nproc)" \
-        --target inpg_sim --target inpg_report
+        --target inpg_sim --target inpg_report --target bench_figures
     sim="$repo_root/build/tools/inpg_sim"
     rep="$repo_root/build/tools/inpg_report"
     led_a="$repo_root/build/report_smoke_a.jsonl"
     led_b="$repo_root/build/report_smoke_b.jsonl"
     led_c="$repo_root/build/report_smoke_c.jsonl"
-    rm -f "$led_a" "$led_b" "$led_c"
+    led_fig="$repo_root/build/report_smoke_fig02.jsonl"
+    out_fig="$repo_root/build/report_smoke_fig02.out"
+    rm -f "$led_a" "$led_b" "$led_c" "$led_fig"
     "$sim" benchmark=freq lock=qsl mechanism=inpg topology=mesh:4x4 \
         cs_scale=0.02 num_locks=1 telemetry=lco \
         --ledger-out="$led_a" >/dev/null
@@ -203,13 +207,14 @@ EOF
         exit 1
     fi
     echo "report smoke: injected delta caught by diff and regress"
-    agg=$("$rep" aggregate "$led_a")
-    case "$agg" in
-        *"LCO share of running time"*) ;;
-        *) echo "FAIL: aggregate output is missing the Fig-2 table" >&2
-           exit 1 ;;
-    esac
-    echo "report smoke OK: diff/regress/aggregate behave"
+    fig02="fig=02 quick=1 cs_scale=0.004"
+    INPG_LEDGER_PATH="$led_fig" "$repo_root/build/bench/bench_figures" \
+        $fig02 > "$out_fig"
+    if ! "$rep" figures "$led_fig" $fig02 | cmp - "$out_fig"; then
+        echo "FAIL: inpg_report figures differs from bench_figures" >&2
+        exit 1
+    fi
+    echo "report smoke OK: diff/regress/figures behave"
 }
 
 # Model-check stage: exhaustive exploration of the composed protocol

@@ -11,10 +11,12 @@
  *       (the kernel is deterministic); host-time measurements are
  *       never compared.
  *
- *   inpg_report aggregate LEDGER.jsonl...
- *       Markdown paper-figure tables on stdout: the Fig-2 LCO share
- *       table, the LCO home/big-router invalidation split, and ROI
- *       speedup vs core count.
+ *   inpg_report figures LEDGER.jsonl [bench_figures' keys: fig=,
+ *                       cs_scale=, seeds=, quick=, topology=, ...]
+ *       The paper tables bench_figures prints with the same keys,
+ *       rendered from the ledger's records (src/harness/figures.hh).
+ *       Exit 0 on success, 1 when the ledger lacks a listed run (the
+ *       message names its key), 2 on a bad key or unreadable ledger.
  *
  *   inpg_report regress FRESH.jsonl BASELINE.jsonl [tolerance=...]
  *       Pass/fail gate: every baseline configuration must appear in
@@ -31,6 +33,7 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "harness/figures.hh"
 #include "telemetry/report.hh"
 
 using namespace inpg;
@@ -42,7 +45,8 @@ usage()
 {
     std::fputs("usage: inpg_report diff A.jsonl B.jsonl "
                "[tolerance=R] [verbose=1]\n"
-               "       inpg_report aggregate LEDGER.jsonl...\n"
+               "       inpg_report figures LEDGER.jsonl "
+               "[bench_figures keys]\n"
                "       inpg_report regress FRESH.jsonl BASELINE.jsonl "
                "[tolerance=R]\n",
                stderr);
@@ -122,20 +126,20 @@ run(int argc, char **argv)
         return r.pass ? 0 : 1;
     }
 
-    if (cmd == "aggregate") {
-        Args a = parseArgs(argc, argv, 2);
-        if (!a.ok || a.paths.empty())
-            return usage();
+    if (cmd == "figures" && argc >= 3) {
+        // The ledger stands in argv[0]'s place, which the loader skips.
+        const FigureOptions opts = loadFigureOptions(argc - 2, argv + 2);
         bool ok = true;
-        std::vector<RunRecord> all;
-        for (const std::string &p : a.paths) {
-            auto recs = loadOrDie(p, ok);
-            for (auto &r : recs)
-                all.push_back(std::move(r));
-        }
+        const auto records = loadOrDie(argv[2], ok);
         if (!ok)
             return 2;
-        std::fputs(aggregateReport(all).c_str(), stdout);
+        std::string tables;
+        try {
+            tables = renderFigures(opts, records);
+        } catch (const FatalError &) {
+            return 1; // fatal() named the listed run the ledger lacks
+        }
+        std::fputs(tables.c_str(), stdout);
         return 0;
     }
 
