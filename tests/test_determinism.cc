@@ -281,6 +281,28 @@ TEST(Determinism, GoldenMesh4x4ThreeVcsPerVnet)
                       "ferret", 0.1));
 }
 
+TEST(Determinism, GoldenMesh4x4Vcs8Depth1Tas)
+{
+    // 32 VCs per port (eight per vnet), the full candidate-mask word,
+    // at the minimum buffer depth: every VC ring holds one flit.
+    expectMatchesGolden(
+        "run_mesh4x4_vcs8_depth1_tas.txt",
+        goldenRunText("topology=mesh:4x4 vcs_per_vnet=8 vc_depth=1 "
+                      "lock=tas",
+                      "ferret", 0.1));
+}
+
+TEST(Determinism, GoldenMesh4x4InpgDepth6Tas)
+{
+    // A ring depth that is not a power of two, on routers that also
+    // carry the iNPG generator port.
+    expectMatchesGolden(
+        "run_mesh4x4_inpg_depth6_tas.txt",
+        goldenRunText("topology=mesh:4x4 mechanism=inpg vc_depth=6 "
+                      "lock=tas",
+                      "ferret", 0.1));
+}
+
 TEST(Determinism, GoldenMesh4x4McsFreq)
 {
     expectMatchesGolden(
