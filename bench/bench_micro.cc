@@ -11,7 +11,6 @@
 
 #include <array>
 #include <functional>
-#include <vector>
 
 #include "coh/coherent_system.hh"
 #include "common/histogram.hh"
@@ -124,14 +123,16 @@ static void
 BM_PriorityArbiter(benchmark::State &state)
 {
     PriorityArbiter arb(8, 64);
-    std::vector<PriorityArbiter::Request> reqs(8);
+    PriorityArbiter::Request reqs[8];
+    std::uint32_t valid = 0;
     Rng rng(3);
-    for (auto &r : reqs) {
-        r.valid = rng.chance(0.5);
-        r.priority = static_cast<int>(rng.nextBounded(9));
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        if (rng.chance(0.5))
+            valid |= 1u << i;
+        reqs[i].priority = static_cast<int>(rng.nextBounded(9));
     }
     for (auto _ : state)
-        benchmark::DoNotOptimize(arb.grant(reqs));
+        benchmark::DoNotOptimize(arb.grantMasked(valid, reqs));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PriorityArbiter);

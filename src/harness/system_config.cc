@@ -59,6 +59,10 @@ SystemConfig::finalize()
         fatal("vcs_per_vnet must be >= 1 (got %d)", noc.vcsPerVnet);
     if (noc.vcDepth < 1)
         fatal("vc_depth must be >= 1 (got %d)", noc.vcDepth);
+    if (noc.vcDepth > VcStateArray::MAX_DEPTH) {
+        fatal("vc_depth %d exceeds the router's %d-flit VC buffer limit",
+              noc.vcDepth, VcStateArray::MAX_DEPTH);
+    }
     if (noc.totalVcs() > VcStateArray::MAX_VCS) {
         fatal("%d vnets x %d vcs_per_vnet = %d VCs per port exceeds the "
               "router's %d-VC limit",

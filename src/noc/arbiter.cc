@@ -6,47 +6,32 @@
 
 namespace inpg {
 
-RoundRobinArbiter::RoundRobinArbiter(std::size_t size) : numInputs(size)
+RoundRobinArbiter::RoundRobinArbiter(std::size_t size)
+    : numInputs(static_cast<std::uint32_t>(size))
 {
-    INPG_ASSERT(size > 0, "arbiter needs at least one input");
-}
-
-int
-RoundRobinArbiter::grant(const std::vector<bool> &requests)
-{
-    INPG_ASSERT(requests.size() == numInputs,
-                "request vector size %zu != arbiter size %zu",
-                requests.size(), numInputs);
-    for (std::size_t i = 0; i < numInputs; ++i) {
-        std::size_t idx = (pointer + i) % numInputs;
-        if (requests[idx]) {
-            // Granted input becomes lowest priority next time.
-            pointer = (idx + 1) % numInputs;
-            return static_cast<int>(idx);
-        }
-    }
-    return -1;
+    INPG_ASSERT(size > 0 && size <= 32,
+                "arbiter needs 1 to 32 inputs, got %zu", size);
 }
 
 int
 RoundRobinArbiter::grantMask(std::uint32_t requests)
 {
     INPG_ASSERT(numInputs >= 32 || (requests >> numInputs) == 0,
-                "request mask %#x exceeds arbiter size %zu", requests,
+                "request mask %#x exceeds arbiter size %u", requests,
                 numInputs);
     if (!requests)
         return -1;
-    // First set bit at or after the pointer, wrapping around -- the
-    // same input grant() would pick by scanning from the pointer.
+    // First set bit at or after the pointer, wrapping around: the
+    // granted input becomes lowest priority next time.
     const std::uint32_t at_or_after = requests & (~0u << pointer);
-    const std::size_t idx = static_cast<std::size_t>(
+    const auto idx = static_cast<std::uint32_t>(
         std::countr_zero(at_or_after ? at_or_after : requests));
     pointer = idx + 1 == numInputs ? 0 : idx + 1;
     return static_cast<int>(idx);
 }
 
 PriorityArbiter::PriorityArbiter(std::size_t size, Cycle aging_quantum)
-    : tieBreak(size), agingQuantum(aging_quantum), scratchMask(size, false)
+    : tieBreak(size), agingQuantum(aging_quantum)
 {}
 
 std::int64_t
@@ -56,33 +41,6 @@ PriorityArbiter::effectivePriority(const Request &req) const
         ? static_cast<std::int64_t>(req.age / agingQuantum)
         : 0;
     return static_cast<std::int64_t>(req.priority) + boost;
-}
-
-int
-PriorityArbiter::grant(const std::vector<Request> &requests)
-{
-    INPG_ASSERT(requests.size() == tieBreak.size(),
-                "request vector size %zu != arbiter size %zu",
-                requests.size(), tieBreak.size());
-    // Find the maximum effective priority among valid requests.
-    bool any = false;
-    std::int64_t best = 0;
-    for (const auto &r : requests) {
-        if (!r.valid)
-            continue;
-        std::int64_t p = effectivePriority(r);
-        if (!any || p > best) {
-            best = p;
-            any = true;
-        }
-    }
-    if (!any)
-        return -1;
-    // Round-robin only among the winners of the priority comparison.
-    for (std::size_t i = 0; i < requests.size(); ++i)
-        scratchMask[i] =
-            requests[i].valid && effectivePriority(requests[i]) == best;
-    return tieBreak.grant(scratchMask);
 }
 
 int

@@ -64,6 +64,9 @@ struct Flit {
     /** 0-based position within the packet. */
     int seq;
 
+    /** Cycle the flit was buffered at the current hop (set per hop). */
+    Cycle bufferedAt = 0;
+
     /** VC the flit occupies at the current hop (set per hop). */
     VcId vc = INVALID_VC;
 

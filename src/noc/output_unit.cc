@@ -14,7 +14,8 @@ OutputUnit::OutputUnit(int num_vcs, int vc_depth)
                 vc_depth);
     INPG_ASSERT(num_vcs <= MAX_VCS, "busy mask holds at most %d VCs, got %d",
                 MAX_VCS, num_vcs);
-    settled.fill(vc_depth);
+    for (Credit &c : credit)
+        c.settled = vc_depth;
 }
 
 void
@@ -39,8 +40,8 @@ OutputUnit::settle()
 {
     for (std::uint32_t m = landingMask; m; m &= m - 1) {
         const auto i = static_cast<std::size_t>(std::countr_zero(m));
-        settled[i] += landing[i];
-        landing[i] = 0;
+        credit[i].settled += credit[i].landing;
+        credit[i].landing = 0;
     }
     landingMask = 0;
 }
@@ -51,7 +52,7 @@ OutputUnit::decrementCredit(VcId vc, Cycle now)
     checkVc(vc);
     if (landedAt + CREDIT_DELAY <= now)
         settle();
-    std::int32_t &c = settled[static_cast<std::size_t>(vc)];
+    std::int32_t &c = credit[static_cast<std::size_t>(vc)].settled;
     INPG_ASSERT(c > 0, "credit underflow on VC %d", vc);
     --c;
 }
@@ -67,10 +68,10 @@ OutputUnit::land(VcId vc, Cycle now)
         settle();
         landedAt = now;
     }
-    const auto i = static_cast<std::size_t>(vc);
-    ++landing[i];
+    Credit &c = credit[static_cast<std::size_t>(vc)];
+    ++c.landing;
     landingMask |= bit(vc);
-    INPG_ASSERT(settled[i] + landing[i] <= depth, "credit overflow on VC %d",
+    INPG_ASSERT(c.settled + c.landing <= depth, "credit overflow on VC %d",
                 vc);
 }
 

@@ -24,14 +24,14 @@ constexpr Cycle CREDIT_DELAY = 1;
  * Tracks, for each VC of the downstream input port, whether it is bound
  * to an in-flight packet and how many buffer slots remain.
  *
- * Storage is fixed-width structure-of-arrays, inline in the owner: a
- * packed busy bitmask plus per-VC credit counts, probed per candidate
+ * Storage is fixed-width and inline in the owner: a packed busy
+ * bitmask plus per-VC credit counts, probed per candidate
  * VC in the VA and SA stages every cycle. The mask makes isVcFree() a
  * single bit test and lets the free-VC scan skip an entirely-busy vnet
  * range in one compare.
  *
  * Returned credits are stamped counters, not queued tokens: the
- * downstream consumer lands a credit by bumping `landing[vc]` and
+ * downstream consumer lands a credit by bumping its `landing` count and
  * stamping the unit with the landing cycle, and a read at cycle `now`
  * counts the landings only from landing cycle + CREDIT_DELAY. Landings
  * of an older cycle fold into `settled` on the next landing or
@@ -80,8 +80,8 @@ class OutputUnit
     credits(VcId vc, Cycle now) const
     {
         checkVc(vc);
-        const auto i = static_cast<std::size_t>(vc);
-        return settled[i] + (landedAt + CREDIT_DELAY <= now ? landing[i] : 0);
+        const Credit &c = credit[static_cast<std::size_t>(vc)];
+        return c.settled + (landedAt + CREDIT_DELAY <= now ? c.landing : 0);
     }
 
     /** Consume one credit at cycle `now` (a flit was sent on this VC). */
@@ -105,25 +105,29 @@ class OutputUnit
     /** Add the landings of cycle `landedAt` to the settled counts. */
     void settle();
 
+    /** One VC's credits: a read touches both counts on one line. */
+    struct Credit {
+        /** Credits usable regardless of the reading cycle. */
+        std::int32_t settled;
+        /** Credits landed at cycle `landedAt`. */
+        std::int32_t landing;
+    };
+
+    Channel *channel = nullptr;
+    int vcs;
+    int depth;
+    VcId scanPointer = 0;
+
     /** Busy VCs as a packed mask (bit == VC index). */
     std::uint32_t busyMask = 0;
 
     /** VCs with a nonzero landing count. */
     std::uint32_t landingMask = 0;
 
-    /** Cycle of the landings in `landing`. */
+    /** Cycle of the landings in `credit[].landing`. */
     Cycle landedAt = 0;
 
-    /** Credits usable regardless of the reading cycle. */
-    std::array<std::int32_t, MAX_VCS> settled{};
-
-    /** Credits landed at cycle `landedAt`. */
-    std::array<std::int32_t, MAX_VCS> landing{};
-
-    Channel *channel = nullptr;
-    int vcs;
-    int depth;
-    VcId scanPointer = 0;
+    std::array<Credit, MAX_VCS> credit{};
 
     static std::uint32_t
     bit(VcId vc)

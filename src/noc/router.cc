@@ -10,12 +10,14 @@ namespace inpg {
 
 namespace {
 
-/** One OutputUnit per mesh port, each shaped by the router's config. */
-template <std::size_t... P>
-std::array<OutputUnit, sizeof...(P)>
-makeOutputs(const NocConfig &cfg, std::index_sequence<P...>)
+/** N copies of T, each built from the same constructor arguments. */
+template <typename T, std::size_t N, typename... Args>
+std::array<T, N>
+filledArray(const Args &...args)
 {
-    return {((void)P, OutputUnit(cfg.totalVcs(), cfg.vcDepth))...};
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<T, N>{((void)I, T(args...))...};
+    }(std::make_index_sequence<N>{});
 }
 
 } // namespace
@@ -26,27 +28,20 @@ Router::Router(NodeId node_id, const NocConfig &config_in,
       // Sized for every port the router can ever have (the generator
       // port arrives after construction).
       vcs(NUM_PORTS + 1, cfg.totalVcs(), cfg.vcDepth),
-      outputs(makeOutputs(cfg, std::make_index_sequence<NUM_PORTS>{}))
+      outputs(filledArray<OutputUnit, NUM_PORTS>(cfg.totalVcs(),
+                                                 cfg.vcDepth)),
+      saInportArb(filledArray<PriorityArbiter, VcStateArray::MAX_PORTS>(
+          static_cast<std::size_t>(cfg.totalVcs()), cfg.agingQuantum)),
+      saOutportArb(filledArray<PriorityArbiter, NUM_PORTS>(
+          std::size_t{VcStateArray::MAX_PORTS}, cfg.agingQuantum))
 {
     INPG_ASSERT(routing != nullptr, "router %d needs a routing algorithm",
                 node_id);
     routeTable = routing->buildTable(node_id, cfg.numNodes());
     stats = StatGroup(format("router%d", node_id));
-    for (int p = 0; p < NUM_PORTS; ++p) {
+    for (int p = 0; p < NUM_PORTS; ++p)
         inputs[static_cast<std::size_t>(p)].bindConsumer(this, &due, p);
-        saOutportArb[static_cast<std::size_t>(p)] =
-            std::make_unique<PriorityArbiter>(NUM_PORTS + 1,
-                                              cfg.agingQuantum);
-    }
     nInPorts = NUM_PORTS;
-    for (int p = 0; p < NUM_PORTS + 1; ++p) {
-        saInportArb.push_back(std::make_unique<PriorityArbiter>(
-            static_cast<std::size_t>(cfg.totalVcs()), cfg.agingQuantum));
-    }
-    saVcReqScratch.resize(static_cast<std::size_t>(cfg.totalVcs()));
-    saPortReqScratch.resize(NUM_PORTS + 1);
-    inportWinnerScratch.resize(NUM_PORTS + 1, INVALID_VC);
-    saInportVnetPtr.resize(NUM_PORTS + 1, 0);
     flitsReceivedCtr = &stats.counter("flits_received");
     flitsSentCtr = &stats.counter("flits_sent");
     packetsRoutedCtr = &stats.counter("packets_routed");
@@ -104,9 +99,9 @@ Router::debugJson(Cycle now) const
     JsonValue vc_list = JsonValue::array();
     for (int p = 0; p < numInPorts(); ++p) {
         for (VcId v = 0; v < cfg.totalVcs(); ++v) {
-            const std::size_t s = vcs.slot(p, v);
-            const std::uint8_t state = vcs.state[s];
-            const std::size_t occupancy = vcs.vcOccupancy(s);
+            const VcRecord &r = vcs.rec(vcs.slot(p, v));
+            const std::uint8_t state = r.state;
+            const std::size_t occupancy = r.count;
             if (state == VcStateArray::Idle && occupancy == 0)
                 continue;
             JsonValue vj = JsonValue::object();
@@ -120,16 +115,14 @@ Router::debugJson(Cycle now) const
                                                                : "active");
             vj["occupancy"] = static_cast<std::uint64_t>(occupancy);
             if (state != VcStateArray::Idle) {
-                vj["out_port"] = directionName(vcs.outPort[s]);
+                vj["out_port"] = directionName(r.outPort);
                 // Emitted only when a dateline class restricts the
                 // route, so mesh hang reports keep their exact bytes.
-                if (vcs.outClass[s] != VC_CLASS_ANY)
-                    vj["vc_class"] =
-                        static_cast<long long>(vcs.outClass[s]);
-                if (vcs.outVc[s] != INVALID_VC)
-                    vj["out_vc"] = static_cast<long long>(vcs.outVc[s]);
-                vj["head_age"] =
-                    static_cast<std::uint64_t>(now - vcs.headAt[s]);
+                if (r.outClass != VC_CLASS_ANY)
+                    vj["vc_class"] = static_cast<long long>(r.outClass);
+                if (r.outVc != INVALID_VC)
+                    vj["out_vc"] = static_cast<long long>(r.outVc);
+                vj["head_age"] = static_cast<std::uint64_t>(now - r.headAt);
             }
             vc_list.push(std::move(vj));
         }
@@ -209,8 +202,8 @@ Router::drainGeneratorQueue(Cycle now)
     const PacketPtr &pkt = genQueue.front();
     for (VcId vc = cfg.vnetVcLo(pkt->vnet); vc <= cfg.vnetVcHi(pkt->vnet);
          ++vc) {
-        const std::size_t s = vcs.slot(genPort, vc);
-        if (vcs.state[s] == VcStateArray::Idle && !vcs.hasFlit(s)) {
+        const VcRecord &r = vcs.rec(vcs.slot(genPort, vc));
+        if (r.state == VcStateArray::Idle && r.count == 0) {
             FlitPtr flit = makeFlit(pkt, FlitType::HeadTail, 0);
             flit->vc = vc;
             pkt->networkEntryCycle = now;
@@ -228,35 +221,35 @@ void
 Router::tryAllocateVc(int port, VcId v, Cycle now)
 {
     const std::size_t s = vcs.slot(port, v);
+    VcRecord &r = vcs.rec(s);
     // A VC whose front flit is the head of a new packet (re)enters
     // route computation; this covers back-to-back packets sharing
     // a VC buffer.
-    if (vcs.state[s] == VcStateArray::Idle && vcs.hasFlit(s)) {
+    if (r.state == VcStateArray::Idle && r.count != 0) {
         const FlitPtr &front = vcs.front(s);
         INPG_ASSERT(isHeadFlit(front->type),
                     "non-head flit at front of idle VC %d", v);
         const RouteEntry entry =
             routeTable[static_cast<std::size_t>(front->packet->dst)];
-        vcs.outPort[s] = entry.dir;
-        vcs.outClass[s] = entry.vcClass;
-        vcs.outVc[s] = INVALID_VC;
-        vcs.state[s] = VcStateArray::WaitVc;
-        vcs.headAt[s] = vcs.frontAt(s);
+        r.outPort = entry.dir;
+        r.outClass = entry.vcClass;
+        r.outVc = INVALID_VC;
+        r.state = VcStateArray::WaitVc;
+        r.headAt = front->bufferedAt;
         vcs.refreshMask(port, v);
     }
-    if (vcs.state[s] != VcStateArray::WaitVc)
+    if (r.state != VcStateArray::WaitVc)
         return;
-    if (now <= vcs.headAt[s])
+    if (now <= r.headAt)
         return; // stage-1 charge: eligible the cycle after buffering
-    OutputUnit &ou = outputs[static_cast<std::size_t>(vcs.outPort[s])];
-    const auto [vc_lo, vc_hi] =
-        outVcRange(cfg.vnetOfVc(v), vcs.outClass[s]);
+    OutputUnit &ou = outputs[static_cast<std::size_t>(r.outPort)];
+    const auto [vc_lo, vc_hi] = outVcRange(cfg.vnetOfVc(v), r.outClass);
     VcId out_vc = ou.findFreeVcInRange(vc_lo, vc_hi);
     if (out_vc == INVALID_VC)
         return;
     ou.allocateVc(out_vc);
-    vcs.outVc[s] = out_vc;
-    vcs.state[s] = VcStateArray::Active;
+    r.outVc = static_cast<std::int8_t>(out_vc);
+    r.state = VcStateArray::Active;
     vcs.refreshMask(port, v);
     ++*vaGrantsCtr;
     if (PacketLifetime *life = vcs.front(s)->packet->lifetime)
@@ -289,7 +282,7 @@ Router::allocateVcs(Cycle now)
 void
 Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
 {
-    const std::size_t s = vcs.slot(inport, v);
+    VcRecord &r = vcs.rec(vcs.slot(inport, v));
     OutputUnit &ou = outputs[static_cast<std::size_t>(outport)];
     INPG_ASSERT(ou.outChannel() != nullptr,
                 "router %d: traversal into unconnected port %d", id,
@@ -310,13 +303,13 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
     if (inport != genPort)
         inputs[static_cast<std::size_t>(inport)].pushCredit(v, now);
 
-    VcId out_vc = vcs.outVc[s];
+    const VcId out_vc = r.outVc;
     flit->vc = out_vc;
     ou.decrementCredit(out_vc, now);
     if (tail) {
         ou.freeVc(out_vc);
-        vcs.state[s] = VcStateArray::Idle;
-        vcs.outVc[s] = INVALID_VC;
+        r.state = VcStateArray::Idle;
+        r.outVc = INVALID_VC;
         vcs.refreshMask(inport, v);
     }
     ou.outChannel()->pushFlit(std::move(flit), now);
@@ -333,7 +326,7 @@ Router::allocateSwitch(Cycle now)
         return;
     const int nports = numInPorts();
     const bool prio = cfg.switchPolicy == SwitchPolicy::Priority;
-    std::vector<VcId> &inportWinner = inportWinnerScratch;
+    auto &inportWinner = inportWinnerScratch;
 
     // SA-I over each port's Active mask. Request priorities/ages are
     // written into the scratch slots only for candidate bits; the mask
@@ -348,17 +341,19 @@ Router::allocateSwitch(Cycle now)
         for (std::uint32_t m = vcs.saCandidates(p); m; m &= m - 1) {
             const VcId v = static_cast<VcId>(std::countr_zero(m));
             const std::size_t s = base + static_cast<std::size_t>(v);
-            if (now <= vcs.frontAt(s))
+            const VcRecord &r = vcs.rec(s);
+            const Flit &front = *vcs.front(s);
+            if (now <= front.bufferedAt)
                 continue;
             const OutputUnit &ou =
-                outputs[static_cast<std::size_t>(vcs.outPort[s])];
-            if (ou.credits(vcs.outVc[s], now) <= 0)
+                outputs[static_cast<std::size_t>(r.outPort)];
+            if (ou.credits(r.outVc, now) <= 0)
                 continue;
             valid |= 1u << static_cast<std::uint32_t>(v);
             if (prio) {
-                auto &r = saVcReqScratch[static_cast<std::size_t>(v)];
-                r.priority = vcs.front(s)->packet->priority;
-                r.age = now - vcs.headAt[s];
+                auto &req = saVcReqScratch[static_cast<std::size_t>(v)];
+                req.priority = front.packet->priority;
+                req.age = now - r.headAt;
             }
         }
         if (!valid)
@@ -379,13 +374,13 @@ Router::allocateSwitch(Cycle now)
                 }
             }
         }
-        const int w = saInportArb[static_cast<std::size_t>(p)]->grantMasked(
+        const int w = saInportArb[static_cast<std::size_t>(p)].grantMasked(
             valid, prio ? saVcReqScratch.data() : nullptr);
         INPG_ASSERT(w != INVALID_VC, "no grant from nonzero request mask");
         inportWinner[static_cast<std::size_t>(p)] = w;
         anyWinner = true;
         const auto op = static_cast<std::size_t>(
-            vcs.outPort[base + static_cast<std::size_t>(w)]);
+            vcs.rec(base + static_cast<std::size_t>(w)).outPort);
         outportCand[op] |= 1u << static_cast<std::uint32_t>(p);
     }
     // An all-invalid grant() touches no arbiter state, so outports
@@ -404,9 +399,9 @@ Router::allocateSwitch(Cycle now)
                     static_cast<std::size_t>(std::countr_zero(m));
                 const std::size_t s =
                     vcs.slot(static_cast<int>(p), inportWinner[p]);
-                auto &r = saPortReqScratch[p];
-                r.priority = vcs.front(s)->packet->priority;
-                r.age = now - vcs.headAt[s];
+                auto &req = saPortReqScratch[p];
+                req.priority = vcs.front(s)->packet->priority;
+                req.age = now - vcs.rec(s).headAt;
             }
             std::size_t &ptr = saOutportVnetPtr[static_cast<std::size_t>(op)];
             const std::size_t nv = static_cast<std::size_t>(cfg.numVnets);
@@ -428,7 +423,7 @@ Router::allocateSwitch(Cycle now)
             }
         }
         const int winner =
-            saOutportArb[static_cast<std::size_t>(op)]->grantMasked(
+            saOutportArb[static_cast<std::size_t>(op)].grantMasked(
                 valid, prio ? saPortReqScratch.data() : nullptr);
         INPG_ASSERT(winner >= 0, "no grant from nonzero request mask");
         switchTraverse(winner,

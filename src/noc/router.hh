@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -232,18 +231,20 @@ class Router : public Ticking
     std::size_t vaPointer = 0;
 
     /** SA stage arbitration state. */
-    std::vector<std::unique_ptr<PriorityArbiter>> saInportArb;
-    std::array<std::unique_ptr<PriorityArbiter>, NUM_PORTS> saOutportArb;
+    std::array<PriorityArbiter, VcStateArray::MAX_PORTS> saInportArb;
+    std::array<PriorityArbiter, NUM_PORTS> saOutportArb;
 
     /** Reused per-cycle scratch (avoids per-tick allocation). */
-    std::vector<PriorityArbiter::Request> saVcReqScratch;
-    std::vector<PriorityArbiter::Request> saPortReqScratch;
-    std::vector<VcId> inportWinnerScratch;
+    std::array<PriorityArbiter::Request, VcStateArray::MAX_VCS>
+        saVcReqScratch{};
+    std::array<PriorityArbiter::Request, VcStateArray::MAX_PORTS>
+        saPortReqScratch{};
+    std::array<VcId, VcStateArray::MAX_PORTS> inportWinnerScratch{};
 
     /** Per-inport / per-outport vnet rotation for hierarchical SA:
      *  round-robin across virtual networks, priority within one (so
      *  OCOR reorders competing requests without starving responses). */
-    std::vector<std::size_t> saInportVnetPtr;
+    std::array<std::size_t, VcStateArray::MAX_PORTS> saInportVnetPtr{};
     std::array<std::size_t, NUM_PORTS> saOutportVnetPtr{};
 
     /** Cached hot counters (string lookup once at construction). */

@@ -102,10 +102,9 @@ TEST(Directions, OppositeIsInvolution)
 TEST(RoundRobinArbiter, RotatesFairly)
 {
     RoundRobinArbiter arb(4);
-    std::vector<bool> all(4, true);
     std::map<int, int> grants;
     for (int i = 0; i < 40; ++i)
-        ++grants[arb.grant(all)];
+        ++grants[arb.grantMask(0b1111)];
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(grants[i], 10);
 }
@@ -113,45 +112,41 @@ TEST(RoundRobinArbiter, RotatesFairly)
 TEST(RoundRobinArbiter, SkipsNonRequesters)
 {
     RoundRobinArbiter arb(4);
-    std::vector<bool> reqs{false, true, false, true};
+    const std::uint32_t reqs = 0b1010; // inputs 1 and 3
     for (int i = 0; i < 10; ++i) {
-        int g = arb.grant(reqs);
+        int g = arb.grantMask(reqs);
         EXPECT_TRUE(g == 1 || g == 3);
     }
-    EXPECT_EQ(arb.grant(std::vector<bool>(4, false)), -1);
+    EXPECT_EQ(arb.grantMask(0), -1);
 }
 
 TEST(PriorityArbiter, HighestPriorityWins)
 {
     PriorityArbiter arb(3, 0);
-    std::vector<PriorityArbiter::Request> reqs(3);
-    reqs[0] = {true, 2, 0};
-    reqs[1] = {true, 8, 0};
-    reqs[2] = {true, 5, 0};
+    const PriorityArbiter::Request reqs[3] = {{2, 0}, {8, 0}, {5, 0}};
     for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(arb.grant(reqs), 1);
+        EXPECT_EQ(arb.grantMasked(0b111, reqs), 1);
 }
 
 TEST(PriorityArbiter, TiesBreakRoundRobin)
 {
     PriorityArbiter arb(2, 0);
-    std::vector<PriorityArbiter::Request> reqs(2);
-    reqs[0] = {true, 3, 0};
-    reqs[1] = {true, 3, 0};
-    int first = arb.grant(reqs);
-    int second = arb.grant(reqs);
+    const PriorityArbiter::Request reqs[2] = {{3, 0}, {3, 0}};
+    int first = arb.grantMasked(0b11, reqs);
+    int second = arb.grantMasked(0b11, reqs);
     EXPECT_NE(first, second);
 }
 
 TEST(PriorityArbiter, AgingLiftsStarvedRequests)
 {
     PriorityArbiter arb(2, 10); // +1 priority per 10 cycles of age
-    std::vector<PriorityArbiter::Request> reqs(2);
-    reqs[0] = {true, 5, 0};  // high priority, fresh
-    reqs[1] = {true, 0, 60}; // low priority, starved 60 cycles -> +6
-    EXPECT_EQ(arb.grant(reqs), 1);
+    PriorityArbiter::Request reqs[2] = {
+        {5, 0},  // high priority, fresh
+        {0, 60}, // low priority, starved 60 cycles -> +6
+    };
+    EXPECT_EQ(arb.grantMasked(0b11, reqs), 1);
     reqs[1].age = 10; // only +1 now
-    EXPECT_EQ(arb.grant(reqs), 0);
+    EXPECT_EQ(arb.grantMasked(0b11, reqs), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -163,11 +163,14 @@ TEST(TopologyConfig, BadVcShapesAreFatal)
 {
     // Rejected at config time, before any router is built.
     for (const char *arg :
-         {"vcs_per_vnet=0", "vcs_per_vnet=9", "vc_depth=0"}) {
+         {"vcs_per_vnet=0", "vcs_per_vnet=9", "vc_depth=0", "vc_depth=65",
+          "vc_depth=100000000"}) {
         SystemConfig sc;
         EXPECT_THROW(sc.applyOverrides(makeConfig({arg})), FatalError)
             << arg;
     }
+    SystemConfig deepest;
+    EXPECT_NO_THROW(deepest.applyOverrides(makeConfig({"vc_depth=64"})));
     SystemConfig sc;
     sc.noc.numVnets = 1;
     sc.noc.vcsPerVnet = 33;
