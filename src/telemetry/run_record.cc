@@ -255,7 +255,8 @@ ExperimentLedger::append(const RunRecord &rec)
 }
 
 std::vector<RunRecord>
-ExperimentLedger::load(const std::string &path, std::string *err)
+ExperimentLedger::load(const std::string &path, std::string *err,
+                       bool drop_stats)
 {
     std::vector<RunRecord> out;
     std::FILE *f = std::fopen(path.c_str(), "r");
@@ -297,6 +298,8 @@ ExperimentLedger::load(const std::string &path, std::string *err)
                               diag.c_str());
             return out;
         }
+        if (drop_stats)
+            rec.stats = JsonValue();
         out.push_back(std::move(rec));
     }
     if (err)

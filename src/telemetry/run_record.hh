@@ -188,10 +188,13 @@ class ExperimentLedger
     /**
      * Parse every line of a ledger file. Returns the records in file
      * order; on any unreadable or incompatible line, returns what was
-     * parsed so far and sets *err with the line number.
+     * parsed so far and sets *err with the line number. With
+     * `drop_stats`, each record's `stats` snapshot is discarded as its
+     * line is parsed, for callers that never read it.
      */
     static std::vector<RunRecord> load(const std::string &path,
-                                       std::string *err = nullptr);
+                                       std::string *err = nullptr,
+                                       bool drop_stats = false);
 
   private:
     std::string filePath;

@@ -314,6 +314,35 @@ TEST(ExperimentLedger, ConcurrentAppendsNeverTearLines)
     std::remove(path.c_str());
 }
 
+TEST(ExperimentLedger, LoadCanDropStatsSnapshots)
+{
+    const std::string path = "test_run_record_drop_stats.jsonl";
+    std::remove(path.c_str());
+    {
+        ExperimentLedger ledger(path);
+        ASSERT_TRUE(ledger.ok());
+        RunRecord rec = makeRecord("iNPG", "TAS", 1, 1234);
+        rec.stats = JsonValue::object();
+        rec.stats["groups"] = JsonValue::object();
+        ledger.append(rec);
+    }
+    std::string err;
+    const std::vector<RunRecord> kept = ExperimentLedger::load(path, &err);
+    ASSERT_TRUE(err.empty()) << err;
+    const std::vector<RunRecord> dropped =
+        ExperimentLedger::load(path, &err, /*drop_stats=*/true);
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_EQ(kept.size(), 1u);
+    ASSERT_EQ(dropped.size(), 1u);
+    EXPECT_TRUE(kept[0].stats.contains("groups"));
+    EXPECT_TRUE(dropped[0].stats.isNull());
+    // Everything but the snapshot survives.
+    RunRecord expect = kept[0];
+    expect.stats = JsonValue();
+    EXPECT_EQ(dropped[0].toJson().dump(), expect.toJson().dump());
+    std::remove(path.c_str());
+}
+
 TEST(Report, DiffPairsByConfigAndCatchesDeltas)
 {
     std::vector<RunRecord> a = {makeRecord("Original", "TAS", 1, 5000),

@@ -89,10 +89,11 @@ parseArgs(int argc, char **argv, int first)
 }
 
 std::vector<RunRecord>
-loadOrDie(const std::string &path, bool &ok)
+loadOrDie(const std::string &path, bool &ok, bool drop_stats = false)
 {
     std::string err;
-    std::vector<RunRecord> recs = ExperimentLedger::load(path, &err);
+    std::vector<RunRecord> recs =
+        ExperimentLedger::load(path, &err, drop_stats);
     if (!err.empty()) {
         std::fprintf(stderr, "inpg_report: %s\n", err.c_str());
         ok = false;
@@ -130,7 +131,9 @@ run(int argc, char **argv)
         // The ledger stands in argv[0]'s place, which the loader skips.
         const FigureOptions opts = loadFigureOptions(argc - 2, argv + 2);
         bool ok = true;
-        const auto records = loadOrDie(argv[2], ok);
+        // The tables never read the stats snapshots, the bulk of a
+        // ledger's bytes.
+        const auto records = loadOrDie(argv[2], ok, /*drop_stats=*/true);
         if (!ok)
             return 2;
         std::string tables;
