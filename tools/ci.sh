@@ -127,7 +127,8 @@ EOF
 }
 
 # Torus/fabric smoke: the wraparound fabric must run deterministically
-# under both kernels, the deadlock-capable configuration (no escape
+# under both kernels, a non-default VC shape (3 VCs per vnet, 6-deep
+# rings) must too, the deadlock-capable configuration (no escape
 # VCs) must be refused at System construction with the cycle witness,
 # and the concentrated mesh must complete a run.
 run_torus_smoke() {
@@ -147,6 +148,14 @@ run_torus_smoke() {
         echo "FAIL: torus threads=4 diverges from the serial kernel" >&2
         exit 1
     fi
+    shape="benchmark=freq mechanism=inpg lock=tas topology=mesh:8x8"
+    shape="$shape vcs_per_vnet=3 vc_depth=6 csv=1"
+    out_shape=$("$sim" $shape threads=1)
+    if [ "$out_shape" != "$("$sim" $shape threads=4)" ]; then
+        echo "FAIL: vcs_per_vnet=3 vc_depth=6 threads=4 diverges from" \
+             "the serial kernel" >&2
+        exit 1
+    fi
     set +e
     "$sim" benchmark=freq topology=torus:8x8 escape_vcs=0 \
         >/dev/null 2>&1
@@ -161,8 +170,8 @@ run_torus_smoke() {
     fi
     "$sim" benchmark=freq mechanism=inpg topology=cmesh:4x4x4 \
         big_routers=4 csv=1 >/dev/null
-    echo "torus smoke OK: deterministic, serial==threads=4," \
-         "no-escape-VC rejected, cmesh completes"
+    echo "torus smoke OK: deterministic, serial==threads=4 (torus and" \
+         "3x6 VC shape), no-escape-VC rejected, cmesh completes"
 }
 
 # Experiment-ledger report smoke: two identical tiny configs must diff

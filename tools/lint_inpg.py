@@ -57,9 +57,10 @@ Rules (numbered as DESIGN.md invariants 10-19):
       No std::deque / std::list / std::forward_list / std::map /
       std::set (or their multi variants) in src/noc. The NoC hot path
       is data-oriented: flit and credit queues are pow2 ring buffers,
-      VC state is SoA arrays. A node container reintroduces a heap
-      allocation per enqueued element on the per-cycle path. Cold-path
-      uses (if ever justified) must carry an explicit lint:allow.
+      VC state is one contiguous block per VC. A node container
+      reintroduces a heap allocation per enqueued element on the
+      per-cycle path. Cold-path uses (if ever justified) must carry an
+      explicit lint:allow.
 
   table-row-outside-tables (inv. 18)
       No direct construction of protocol transition-table rows --
@@ -327,7 +328,7 @@ def check_node_container_noc(files):
             findings.append(Finding(
                 "node-container-noc", path, ln,
                 "'%s' in src/noc: the NoC hot path uses pow2 ring "
-                "buffers and SoA arrays, not node containers (see "
+                "buffers and contiguous arrays, not node containers (see "
                 "noc/ring_buffer.hh)" % m.group(0).strip()))
     return findings
 
