@@ -67,7 +67,8 @@ addResultRow(TablePrinter &t, const RunRecord &r)
  * The dump_stats=1 component statistics, rendered from the run's stats
  * snapshot: router, directory and L1 counters summed over every
  * instance, then each lock and each big router that generated early
- * invalidations.
+ * invalidations. The snapshot lists only non-zero stats, so neither
+ * does this dump.
  */
 void
 printComponentStats(const RunRecord &r)
@@ -91,7 +92,7 @@ printComponentStats(const RunRecord &r)
         const JsonValue &counters = g.at("counters");
         if (!name.starts_with("lock.") &&
             !(name.starts_with("inpg.gen.") &&
-              counters.at("early_invs_generated").asUint()))
+              counters.contains("early_invs_generated")))
             continue;
         for (const auto &[key, v] : counters.members())
             std::printf("%s.%s = %llu\n", name.c_str(), key.c_str(),
