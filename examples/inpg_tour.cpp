@@ -86,9 +86,9 @@ main(int argc, char **argv)
                         : "");
         std::printf("  acquisitions: %llu, swap failures: %llu\n",
                     static_cast<unsigned long long>(
-                        lock->stats.value("acquisitions")),
+                        lock->stats.acquisitions),
                     static_cast<unsigned long long>(
-                        lock->stats.value("swap_failures")));
+                        lock->stats.swapFailures));
         const CohStats &cstats = system.coherent().cohStats();
         std::printf("  Inv-Ack round trip: mean %.1f, max %llu cycles "
                     "(%llu home + %llu early samples)\n",
@@ -110,21 +110,19 @@ main(int argc, char **argv)
                 if (!br)
                     continue;
                 const auto &g = br->generator();
-                std::uint64_t stopped =
-                    g.stats.value("getx_stopped");
+                const std::uint64_t stopped = g.stats.getxStopped;
                 if (stopped == 0)
                     continue;
                 std::printf("    node %2d: barriers %llu, GetX stopped "
                             "%llu, early Invs %llu, acks relayed %llu\n",
                             n,
                             static_cast<unsigned long long>(
-                                g.barrierTable().stats.value(
-                                    "barriers_created")),
+                                g.barrierTable().stats.barriersCreated),
                             static_cast<unsigned long long>(stopped),
                             static_cast<unsigned long long>(
-                                g.stats.value("early_invs_generated")),
+                                g.stats.earlyInvsGenerated),
                             static_cast<unsigned long long>(
-                                g.stats.value("acks_relayed")));
+                                g.stats.acksRelayed));
             }
         }
         std::printf("\n");

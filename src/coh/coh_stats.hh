@@ -2,7 +2,7 @@
  * @file
  * System-wide coherence statistics shared by all L1 controllers and
  * directories: the Inv-Ack round-trip measurements behind paper
- * Figure 10, plus protocol event counters.
+ * Figure 10.
  */
 
 #ifndef INPG_COH_COH_STATS_HH
@@ -28,8 +28,7 @@ class CohStats
     explicit CohStats(int num_cores, std::uint64_t rtt_bin_width = 5,
                       std::size_t rtt_bins = 40)
         : rttPerCore(static_cast<std::size_t>(num_cores)),
-          rttHistogram(rtt_bin_width, rtt_bins),
-          counters("coh")
+          rttHistogram(rtt_bin_width, rtt_bins)
     {}
 
     /**
@@ -48,19 +47,6 @@ class CohStats
                 static_cast<double>(rtt));
         rttHistogram.add(rtt);
         (early ? rttEarly : rttHome).add(static_cast<double>(rtt));
-        ++counters.counter(early ? "early_inv_ack_rtt"
-                                 : "home_inv_ack_rtt");
-    }
-
-    void
-    reset()
-    {
-        for (auto &s : rttPerCore)
-            s.reset();
-        rttHistogram.reset();
-        rttEarly.reset();
-        rttHome.reset();
-        counters.reset();
     }
 
     /** Per-core Inv-Ack round-trip samples (Figure 10a / 10c). */
@@ -74,9 +60,6 @@ class CohStats
 
     /** Round trips of home-node invalidations. */
     SampleStat rttHome;
-
-    /** Aggregate protocol counters. */
-    StatGroup counters;
 };
 
 } // namespace inpg

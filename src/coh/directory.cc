@@ -41,12 +41,7 @@ Directory::Directory(NodeId node_id, const CohConfig &config,
                      MemoryController *memory, CohStats *coh_stats)
     : node(node_id), cfg(config), net(network), sim(simulator),
       mem(memory), cohStats(coh_stats)
-{
-    stats = StatGroup(format("dir%d", node_id));
-    msgsReceivedCtr = &stats.counter("msgs_received");
-    msgsSentCtr = &stats.counter("msgs_sent");
-    queueDepthSample = &stats.sample("queue_depth_at_dequeue");
-}
+{}
 
 std::string
 Directory::tickName() const
@@ -88,7 +83,7 @@ Directory::receiveMessage(const CohMsgPtr &msg, Cycle now)
                 cfg.homeOf(msg->addr), node);
     (void)now;
     queue.push_back(msg);
-    ++*msgsReceivedCtr;
+    ++stats.msgsReceived;
     if (msg->kind == CohMsgKind::GetS || msg->kind == CohMsgKind::GetX) {
         Telemetry *t = sim.telemetry();
         if (t && t->lco)
@@ -115,7 +110,7 @@ Directory::tick(Cycle now)
 
     CohMsgPtr msg = queue.front();
     queue.pop_front();
-    queueDepthSample->add(static_cast<double>(queue.size()));
+    stats.queueDepthAtDequeue.add(static_cast<double>(queue.size()));
 
     const Cycle cost = msg->kind == CohMsgKind::InvAck ? cfg.dirAckLatency
                                                        : cfg.l2Latency;
@@ -134,7 +129,7 @@ Directory::tick(Cycle now)
         // First touch: block the bank on the DRAM fetch, then service.
         e.cold = false;
         blockedOnFetch = true;
-        ++stats.counter("cold_misses");
+        ++stats.coldMisses;
         mem->fetch(msg->addr, [this, msg] {
             blockedOnFetch = false;
             busyUntil = sim.now();
@@ -182,13 +177,13 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
 
     switch (ev) {
       case DirEvent::GetS:
-        ++stats.counter("gets");
+        ++stats.gets;
         break;
       case DirEvent::GetX:
       case DirEvent::GetXDemotable:
-        ++stats.counter("getx");
+        ++stats.getx;
         if (msg->earlyInvalidated) {
-            ++stats.counter("getx_early_invalidated");
+            ++stats.getxEarlyInvalidated;
             // The big router pre-invalidated on this request's behalf:
             // mark the requester's acquire as big-router-served.
             Telemetry *t = sim.telemetry();
@@ -200,7 +195,7 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
         INPG_ASSERT(msg->fromBigRouter,
                     "directory %d got a non-early InvAck: %s", node,
                     msg->toString().c_str());
-        ++stats.counter("early_acks");
+        ++stats.earlyAcks;
         break;
     }
 
@@ -253,7 +248,7 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
         msg->earlyInvalidated) {
         if (!e.eiPending.insert(msg->requester).second) {
             e.eiPending.erase(msg->requester);
-            ++stats.counter("ei_guard_ambiguous");
+            ++stats.eiGuardAmbiguous;
         }
     }
 }
@@ -272,7 +267,7 @@ Directory::grantExclusive(const CohMsgPtr &msg, DirEntry &e, Cycle now)
     data->ackCount = 0;
     data->isLock = msg->isLock;
     send(data, req, now);
-    ++stats.counter("excl_grants");
+    ++stats.exclGrants;
 }
 
 void
@@ -306,7 +301,7 @@ Directory::forwardGetS(const CohMsgPtr &msg, DirEntry &e, Cycle now)
     // A fresh registration invalidates any EI ack still in flight.
     e.eiPending.erase(req);
     send(fwd, e.owner, now);
-    ++stats.counter("fwd_gets");
+    ++stats.fwdGets;
 }
 
 void
@@ -350,7 +345,7 @@ Directory::forwardGetX(const CohMsgPtr &msg, DirEntry &e, Cycle now)
     fwd->isLock = msg->isLock;
     fwd->epoch = epoch;
     send(fwd, e.owner, now);
-    ++stats.counter("fwd_getx");
+    ++stats.fwdGetx;
 
     auto ack = std::make_shared<CoherenceMsg>();
     ack->kind = CohMsgKind::AckCount;
@@ -384,7 +379,7 @@ Directory::ownerUpgrade(const CohMsgPtr &msg, DirEntry &e, Cycle now)
     ack->epoch = epoch;
     ack->ownerUpgrade = true;
     send(ack, req, now);
-    ++stats.counter("upgrades");
+    ++stats.upgrades;
 
     sendInvalidations(to_inv, msg->addr, req, msg->isLock, epoch, now);
     e.owner = req;
@@ -398,7 +393,7 @@ Directory::demoteViaOwner(const CohMsgPtr &msg, DirEntry &e, Cycle now)
     // owner supplies a shared copy; no ownership transfer, no
     // invalidations, no ack storm.
     const CoreId req = msg->requester;
-    ++stats.counter("getx_demoted_via_owner");
+    ++stats.getxDemotedViaOwner;
     e.sharers.insert(req);
     // A fresh registration invalidates any EI ack still in flight.
     e.eiPending.erase(req);
@@ -417,7 +412,7 @@ Directory::demoteAtHome(const CohMsgPtr &msg, DirEntry &e, Cycle now)
 {
     // The home holds the (locked) value: answer directly.
     const CoreId req = msg->requester;
-    ++stats.counter("getx_demoted_at_home");
+    ++stats.getxDemotedAtHome;
     e.sharers.insert(req);
     // A fresh registration invalidates any EI ack still in flight.
     e.eiPending.erase(req);
@@ -443,13 +438,13 @@ Directory::trimSharer(const CohMsgPtr &msg, DirEntry &e, Cycle now)
     // the same core (its GetS beat the relayed ack home) must be
     // ignored, or the next Inv storm would skip a live copy.
     if (!e.eiPending.erase(msg->requester)) {
-        ++stats.counter("early_acks_overtaken");
+        ++stats.earlyAcksOvertaken;
         return;
     }
     if (e.sharers.erase(msg->requester))
-        ++stats.counter("early_acks_applied");
+        ++stats.earlyAcksApplied;
     else
-        ++stats.counter("early_acks_stale");
+        ++stats.earlyAcksStale;
 }
 
 void
@@ -467,7 +462,7 @@ Directory::sendInvalidations(const std::set<CoreId> &targets, Addr addr,
         inv->epoch = epoch;
         inv->invGeneratedAt = now;
         send(inv, c, now);
-        ++stats.counter("invalidations_sent");
+        ++stats.invalidationsSent;
     }
 }
 
@@ -480,7 +475,7 @@ Directory::send(const CohMsgPtr &msg, NodeId dst, Cycle now)
         // Test-only hang seeder (see CohConfig::dropDirResponseNth):
         // swallow this message deterministically so the watchdog path
         // can be exercised end-to-end.
-        ++stats.counter("msgs_dropped_testknob");
+        ++stats.msgsDroppedTestknob;
         if (Telemetry *t = sim.telemetry(); t && t->recorder) {
             t->recorder->record(FrKind::MsgDrop, now, node, msg->addr,
                                 static_cast<std::uint64_t>(dst),
@@ -498,7 +493,7 @@ Directory::send(const CohMsgPtr &msg, NodeId dst, Cycle now)
     PacketPtr pkt =
         net.makePacket(node, dst, vnetForKind(msg->kind), flits, msg);
     net.inject(pkt, now);
-    ++*msgsSentCtr;
+    ++stats.msgsSent;
 }
 
 JsonValue

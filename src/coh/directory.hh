@@ -30,6 +30,30 @@
 
 namespace inpg {
 
+/** A directory's statistics (snapshot group `dir.N`). */
+struct DirStats : StatGroup {
+    Counter coldMisses{*this, "cold_misses"};
+    Counter earlyAcks{*this, "early_acks"};
+    Counter earlyAcksApplied{*this, "early_acks_applied"};
+    Counter earlyAcksOvertaken{*this, "early_acks_overtaken"};
+    Counter earlyAcksStale{*this, "early_acks_stale"};
+    Counter eiGuardAmbiguous{*this, "ei_guard_ambiguous"};
+    Counter exclGrants{*this, "excl_grants"};
+    Counter fwdGets{*this, "fwd_gets"};
+    Counter fwdGetx{*this, "fwd_getx"};
+    Counter gets{*this, "gets"};
+    Counter getx{*this, "getx"};
+    Counter getxDemotedAtHome{*this, "getx_demoted_at_home"};
+    Counter getxDemotedViaOwner{*this, "getx_demoted_via_owner"};
+    Counter getxEarlyInvalidated{*this, "getx_early_invalidated"};
+    Counter invalidationsSent{*this, "invalidations_sent"};
+    Counter msgsDroppedTestknob{*this, "msgs_dropped_testknob"};
+    Counter msgsReceived{*this, "msgs_received"};
+    Counter msgsSent{*this, "msgs_sent"};
+    Counter upgrades{*this, "upgrades"};
+    Sample queueDepthAtDequeue{*this, "queue_depth_at_dequeue"};
+};
+
 /** Home-node directory + L2 bank controller for one tile. */
 class Directory : public Ticking
 {
@@ -88,7 +112,7 @@ class Directory : public Ticking
      */
     JsonValue debugJson(Cycle now) const;
 
-    StatGroup stats;
+    DirStats stats;
 
   private:
     void process(const CohMsgPtr &msg, Cycle now);
@@ -126,11 +150,6 @@ class Directory : public Ticking
     /** Line table (protocol code never iterates it). */
     FlatHashMap<Addr, DirEntry> entries;
     std::deque<CohMsgPtr> queue;
-
-    /** Cached hot stat handles (string lookup once at construction). */
-    std::uint64_t *msgsReceivedCtr = nullptr;
-    std::uint64_t *msgsSentCtr = nullptr;
-    SampleStat *queueDepthSample = nullptr;
 
     Cycle busyUntil = 0;
     bool blockedOnFetch = false;

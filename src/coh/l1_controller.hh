@@ -68,6 +68,34 @@ struct OpRecord {
     bool demoted = false;
 };
 
+/** An L1 controller's statistics (snapshot group `l1.N`). */
+struct L1Stats : StatGroup {
+    Counter atomicsDemoted{*this, "atomics_demoted"};
+    Counter forwardsChained{*this, "forwards_chained"};
+    Counter forwardsDeferred{*this, "forwards_deferred"};
+    Counter fwdGetsServed{*this, "fwd_gets_served"};
+    Counter fwdGetxServed{*this, "fwd_getx_served"};
+    Counter invAcksCollected{*this, "inv_acks_collected"};
+    Counter invOnInvalid{*this, "inv_on_invalid"};
+    Counter invalidations{*this, "invalidations"};
+    Counter loadHits{*this, "load_hits"};
+    Counter loadMisses{*this, "load_misses"};
+    Counter lockCohCycles{*this, "lock_coh_cycles"};
+    Counter msgsSent{*this, "msgs_sent"};
+    Counter opsCompleted{*this, "ops_completed"};
+    Counter opsIssued{*this, "ops_issued"};
+    Counter preEpochForwardsServed{*this, "pre_epoch_forwards_served"};
+    Counter preEpochForwardsServedEarly{*this,
+                                        "pre_epoch_forwards_served_early"};
+    Counter staleInvOnOwner{*this, "stale_inv_on_owner"};
+    Counter writeHits{*this, "write_hits"};
+    Counter writeMisses{*this, "write_misses"};
+    Counter writeUpgrades{*this, "write_upgrades"};
+    Sample loadLatency{*this, "load_latency"};
+    Sample lockRmwLatency{*this, "lock_rmw_latency"};
+    Sample writeLatency{*this, "write_latency"};
+};
+
 /** Private L1 cache + coherence controller of one core. */
 class L1Controller
 {
@@ -151,7 +179,7 @@ class L1Controller
     /** Diagnostic one-line state dump (pending op, deferred forwards). */
     std::string debugState() const;
 
-    StatGroup stats;
+    L1Stats stats;
 
   private:
     struct Line {
@@ -217,35 +245,6 @@ class L1Controller
     Simulator &sim;
     CohStats *cohStats;
     OpLogFn opLog;
-
-    /**
-     * Cached hot stat handles (string lookup once at construction;
-     * StatGroup map nodes are address-stable). opsCompletedCtr doubles
-     * as the watchdog's retirement progress signal.
-     */
-    std::uint64_t *opsCompletedCtr = nullptr;
-    std::uint64_t *opsIssuedCtr = nullptr;
-    std::uint64_t *msgsSentCtr = nullptr;
-    std::uint64_t *lockCohCyclesCtr = nullptr;
-    std::uint64_t *loadHitsCtr = nullptr;
-    std::uint64_t *loadMissesCtr = nullptr;
-    std::uint64_t *writeHitsCtr = nullptr;
-    std::uint64_t *writeMissesCtr = nullptr;
-    std::uint64_t *writeUpgradesCtr = nullptr;
-    std::uint64_t *preEpochFwdServedCtr = nullptr;
-    std::uint64_t *preEpochFwdServedEarlyCtr = nullptr;
-    std::uint64_t *atomicsDemotedCtr = nullptr;
-    std::uint64_t *fwdGetsServedCtr = nullptr;
-    std::uint64_t *fwdGetxServedCtr = nullptr;
-    std::uint64_t *forwardsChainedCtr = nullptr;
-    std::uint64_t *invalidationsCtr = nullptr;
-    std::uint64_t *invOnInvalidCtr = nullptr;
-    std::uint64_t *staleInvOnOwnerCtr = nullptr;
-    std::uint64_t *forwardsDeferredCtr = nullptr;
-    std::uint64_t *invAcksCollectedCtr = nullptr;
-    SampleStat *loadLatencySample = nullptr;
-    SampleStat *writeLatencySample = nullptr;
-    SampleStat *lockRmwLatencySample = nullptr;
 
     /** Line table (protocol code never iterates it). */
     FlatHashMap<Addr, Line> lines;

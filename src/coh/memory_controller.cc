@@ -1,6 +1,6 @@
 #include "coh/memory_controller.hh"
 
-#include "common/logging.hh"
+#include <algorithm>
 
 namespace inpg {
 
@@ -9,21 +9,19 @@ MemoryController::MemoryController(int mc_id, Simulator &simulator,
                                    Cycle service_interval)
     : mcId(mc_id), sim(simulator), latency(access_latency),
       serviceInterval(service_interval)
-{
-    stats = StatGroup(format("mc%d", mc_id));
-}
+{}
 
 void
 MemoryController::fetch(Addr addr, std::function<void()> done)
 {
     (void)addr;
-    ++stats.counter("fetches");
+    ++stats.fetches;
     // Bandwidth model: requests start at most every serviceInterval
     // cycles; each takes `latency` cycles to complete.
     Cycle start = std::max(sim.now(), nextFreeSlot);
     nextFreeSlot = start + serviceInterval;
     Cycle finish = start + latency;
-    stats.sample("queueing").add(static_cast<double>(start - sim.now()));
+    stats.queueing.add(static_cast<double>(start - sim.now()));
     sim.events().schedule(finish, std::move(done));
 }
 

@@ -20,6 +20,12 @@
 
 namespace inpg {
 
+/** A memory controller's statistics (snapshot group `mc.N`). */
+struct McStats : StatGroup {
+    Counter fetches{*this, "fetches"};
+    Sample queueing{*this, "queueing"};
+};
+
 /** Fixed-latency DRAM access queue. */
 class MemoryController
 {
@@ -41,7 +47,7 @@ class MemoryController
 
     int id() const { return mcId; }
 
-    StatGroup stats;
+    McStats stats;
 
   private:
     int mcId;

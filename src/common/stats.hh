@@ -1,7 +1,16 @@
 /**
  * @file
- * Lightweight statistics primitives: named scalar counters and sample
- * averages, grouped per component, dumpable as text.
+ * Lightweight statistics primitives: counters and sample averages, each
+ * declared once as a typed member of its component's stat group:
+ *
+ *     struct McStats : StatGroup {
+ *         Counter fetches{*this, "fetches"};
+ *         Sample queueing{*this, "queueing"};
+ *     };
+ *
+ * A member registers its name and address with the group as it is
+ * constructed. Call sites bump it directly (`++stats.fetches`); readers
+ * walk the group in name order or read one stat by name.
  *
  * A much-reduced analogue of gem5's Stats package: enough to account for
  * every event the paper's evaluation section reports.
@@ -11,8 +20,8 @@
 #define INPG_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <string_view>
+#include <vector>
 
 namespace inpg {
 
@@ -31,15 +40,6 @@ class SampleStat
             hi = v;
     }
 
-    void
-    reset()
-    {
-        n = 0;
-        total = 0;
-        lo = 0;
-        hi = 0;
-    }
-
     std::uint64_t count() const { return n; }
     double sum() const { return total; }
     double mean() const { return n ? total / static_cast<double>(n) : 0; }
@@ -54,54 +54,75 @@ class SampleStat
 };
 
 /**
- * A named group of counters and sample statistics.
- *
- * Components own a StatGroup and bump counters by name; the harness
- * aggregates groups into report tables. Name lookup is map-based --
- * hot paths should cache references via counter()/sample().
+ * The stats one component declares. It holds its members' addresses,
+ * so it is neither copyable nor movable.
  */
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string group_name = "")
-        : name(std::move(group_name))
-    {}
+    /** One declared stat: exactly one of `counter`, `sample` is set. */
+    struct Entry {
+        const char *name;
+        const std::uint64_t *counter;
+        const SampleStat *sample;
+    };
 
-    /** Reference to (and lazy creation of) a named counter. */
-    std::uint64_t &counter(const std::string &key) { return counters[key]; }
+    StatGroup() = default;
+    StatGroup(const StatGroup &) = delete;
+    StatGroup &operator=(const StatGroup &) = delete;
 
-    /** Counter value; 0 if never touched. */
-    std::uint64_t value(const std::string &key) const;
+    /** Value of the counter declared as `name`; 0 if none is. */
+    std::uint64_t value(std::string_view name) const;
 
-    /** Reference to (and lazy creation of) a named sample stat. */
-    SampleStat &sample(const std::string &key) { return samples[key]; }
+    /** The sample declared as `name`; an empty one if none is. */
+    const SampleStat &sampleValue(std::string_view name) const;
 
-    /** Const access; returns empty stat if never touched. */
-    const SampleStat &sampleValue(const std::string &key) const;
-
-    /** Zero every counter and sample. */
-    void reset();
-
-    /** Group name used as a dump prefix. */
-    const std::string &groupName() const { return name; }
-
-    /** Multi-line "group.key = value" dump. */
-    std::string dump() const;
-
-    const std::map<std::string, std::uint64_t> &allCounters() const
-    {
-        return counters;
-    }
-
-    const std::map<std::string, SampleStat> &allSamples() const
-    {
-        return samples;
-    }
+    /** Every declared stat, in name order. */
+    const std::vector<Entry> &entries() const { return stats; }
 
   private:
-    std::string name;
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, SampleStat> samples;
+    friend class Counter;
+    friend class Sample;
+
+    /** Register a stat; declaring a name twice in one group panics. */
+    void declare(const Entry &e);
+
+    std::vector<Entry> stats;
+};
+
+/** An event count declared in a StatGroup. */
+class Counter
+{
+  public:
+    Counter(StatGroup &g, const char *name) { g.declare({name, &n, {}}); }
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
+
+    Counter &operator++() { return *this += 1; }
+
+    Counter &
+    operator+=(std::uint64_t delta)
+    {
+        n += delta;
+        return *this;
+    }
+
+    operator std::uint64_t() const { return n; }
+
+    /** Stable address of the count (timeseries columns, watchdog). */
+    const std::uint64_t *address() const { return &n; }
+
+  private:
+    std::uint64_t n = 0;
+};
+
+/** A SampleStat declared in a StatGroup. */
+class Sample : public SampleStat
+{
+  public:
+    Sample(StatGroup &g, const char *name) { g.declare({name, {}, this}); }
+    Sample(const Sample &) = delete;
+    Sample &operator=(const Sample &) = delete;
 };
 
 } // namespace inpg

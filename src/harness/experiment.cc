@@ -138,7 +138,7 @@ runBenchmark(const RunConfig &run_cfg)
     r.cseCycles = workload.totalCycles(ThreadPhase::Cse);
     for (int c = 0; c < sys_cfg.numCores(); ++c)
         r.lockCohCycles +=
-            system.coherent().l1(c).stats.value("lock_coh_cycles");
+            system.coherent().l1(c).stats.lockCohCycles;
 
     const CohStats &cs = system.coherent().cohStats();
     r.rttMean = cs.rttHistogram.mean();
@@ -153,8 +153,8 @@ runBenchmark(const RunConfig &run_cfg)
 
     r.earlyInvs = system.totalEarlyInvs();
     for (const auto &lock : system.locks().locks()) {
-        r.sleeps += lock->stats.value("sleeps");
-        r.wakeups += lock->stats.value("wakeups");
+        r.sleeps += lock->stats.sleeps;
+        r.wakeups += lock->stats.wakeups;
     }
 
     const std::size_t shown = std::min<std::size_t>(

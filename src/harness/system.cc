@@ -69,7 +69,7 @@ System::wireDiagnosis()
                 return static_cast<std::uint64_t>(r->bufferedFlits());
             });
             ts->addCounter(format("router.%d.flits_sent", rt),
-                           &net.router(rt).stats.counter("flits_sent"));
+                           net.router(rt).stats.flitsSent.address());
             for (int k = 0; k < conc; ++k) {
                 const NodeId n = rt * conc + k;
                 const Directory *d = &memSys->directory(n);
@@ -79,7 +79,7 @@ System::wireDiagnosis()
             }
             ts->addCounter(
                 format("ni.%d.delivered", rt),
-                &net.ni(rt).stats.counter("packets_delivered"));
+                net.ni(rt).stats.packetsDelivered.address());
         }
     }
     if (ProgressWatchdog *wd = telem->watchdog) {
@@ -89,10 +89,10 @@ System::wireDiagnosis()
         const int conc = net.topology().concentration();
         for (NodeId rt = 0; rt < net.numRouters(); ++rt) {
             wd->watchCounter(
-                &net.ni(rt).stats.counter("packets_delivered"));
+                net.ni(rt).stats.packetsDelivered.address());
             for (int k = 0; k < conc; ++k)
-                wd->watchCounter(&memSys->l1(rt * conc + k)
-                                      .stats.counter("ops_completed"));
+                wd->watchCounter(
+                    memSys->l1(rt * conc + k).stats.opsCompleted.address());
         }
         wd->setOnTrip([this](Cycle at, const char *reason) {
             JsonValue report = buildHangReport(*this, at, reason);
@@ -137,7 +137,7 @@ System::totalEarlyInvs() const
     for (NodeId id = 0; id < memSys->network().numRouters(); ++id) {
         auto *br = dynamic_cast<BigRouter *>(&memSys->network().router(id));
         if (br)
-            total += br->generator().stats.value("early_invs_generated");
+            total += br->generator().stats.earlyInvsGenerated;
     }
     return total;
 }
@@ -174,7 +174,7 @@ System::buildStatsRegistry() const
         reg.addGroup(format("mc.%d", i),
                      &memSys->memoryController(i).stats);
     if (telem && telem->packets)
-        reg.addGroup("noc.packets", &telem->packets->statGroup());
+        reg.addGroup("noc.packets", &telem->packets->stats);
     if (telem && telem->kernel) {
         reg.addHistogram("kernel.events_per_cycle",
                          &telem->kernel->eventsPerCycleHist());

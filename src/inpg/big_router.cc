@@ -37,7 +37,7 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
         if (home != INVALID_NODE) {
             flit->packet->dst = home;
             msg->toDirectory = true;
-            ++stats.counter("inv_acks_relayed");
+            ++stats.invAcksRelayed;
             if (Telemetry *t = sim.telemetry(); t && t->recorder) {
                 t->recorder->record(FrKind::AckRelay, now, nodeId(),
                                     msg->addr,
@@ -56,7 +56,7 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
                                             vnetForKind(inv->kind),
                                             /*num_flits=*/1, inv);
         injectGenerated(pkt, now);
-        ++stats.counter("early_invs_injected");
+        ++stats.earlyInvsInjected;
         if (Telemetry *t = sim.telemetry(); t && t->recorder) {
             t->recorder->record(
                 FrKind::BarrierStop, now, nodeId(), msg->addr,

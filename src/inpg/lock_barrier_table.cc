@@ -13,7 +13,6 @@ LockBarrierTable::LockBarrierTable(std::size_t max_barriers,
 {
     INPG_ASSERT(max_barriers >= 1 && max_eis >= 1,
                 "locking barrier table needs capacity");
-    stats = StatGroup("barrier_table");
 }
 
 LockBarrierTable::Barrier *
@@ -57,7 +56,7 @@ LockBarrierTable::createBarrier(Addr addr, Cycle now)
     if (find(addr))
         return true;
     if (barriers.size() >= barrierCapacity) {
-        ++stats.counter("barrier_table_full");
+        ++stats.barrierTableFull;
         return false;
     }
     Barrier b;
@@ -66,7 +65,7 @@ LockBarrierTable::createBarrier(Addr addr, Cycle now)
     slotIndex[addr] = barriers.size();
     barriers.push_back(std::move(b));
     nextExpiryCycle = std::min(nextExpiryCycle, now + ttl);
-    ++stats.counter("barriers_created");
+    ++stats.barriersCreated;
     return true;
 }
 
@@ -77,7 +76,7 @@ LockBarrierTable::addEi(Addr addr, CoreId core, Cycle now)
     if (!b)
         return false;
     if (b->eis.size() >= eiCapacity) {
-        ++stats.counter("ei_list_full");
+        ++stats.eiListFull;
         return false;
     }
     // One live EI per core per barrier: a core has at most one GetX in
@@ -90,7 +89,7 @@ LockBarrierTable::addEi(Addr addr, CoreId core, Cycle now)
     e.phase = EiPhase::GetXFwd; // Inv generated + GetX forwarded at ST
     e.openedAt = now;
     b->eis.push_back(e);
-    ++stats.counter("eis_opened");
+    ++stats.eisOpened;
     return true;
 }
 
@@ -106,9 +105,9 @@ LockBarrierTable::completeEi(Addr addr, CoreId core, Cycle now)
                            });
     if (it == b->eis.end())
         return false;
-    stats.sample("ei_lifetime").add(static_cast<double>(now - it->openedAt));
+    stats.eiLifetime.add(static_cast<double>(now - it->openedAt));
     b->eis.erase(it);
-    ++stats.counter("eis_completed");
+    ++stats.eisCompleted;
     if (b->eis.empty()) {
         b->idleSince = now; // TTL countdown restarts from full value
         nextExpiryCycle = std::min(nextExpiryCycle, now + ttl);
@@ -135,7 +134,7 @@ LockBarrierTable::expire(Cycle now)
                             BrAction::ExpireBarrier,
                         "barrier FSM: (BarrierIdle, TtlExpire) must "
                         "map to ExpireBarrier");
-            ++stats.counter("barriers_expired");
+            ++stats.barriersExpired;
             eraseSlot(i); // swap-erase: re-examine the moved-in slot
         } else {
             ++i;

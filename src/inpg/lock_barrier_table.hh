@@ -34,6 +34,17 @@ enum class EiPhase {
 /** Name of an EiPhase ("inv-generated", ...). */
 const char *eiPhaseName(EiPhase p);
 
+/** A lock barrier table's statistics (snapshot group `inpg.table.N`). */
+struct BarrierTableStats : StatGroup {
+    Counter barrierTableFull{*this, "barrier_table_full"};
+    Counter barriersCreated{*this, "barriers_created"};
+    Counter barriersExpired{*this, "barriers_expired"};
+    Counter eiListFull{*this, "ei_list_full"};
+    Counter eisCompleted{*this, "eis_completed"};
+    Counter eisOpened{*this, "eis_opened"};
+    Sample eiLifetime{*this, "ei_lifetime"};
+};
+
 /** The locking barrier table of one big router. */
 class LockBarrierTable
 {
@@ -103,7 +114,7 @@ class LockBarrierTable
      */
     JsonValue debugJson(Cycle now) const;
 
-    StatGroup stats;
+    BarrierTableStats stats;
 
   private:
     struct EiEntry {

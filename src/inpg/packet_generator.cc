@@ -22,9 +22,7 @@ PacketGenerator::PacketGenerator(NodeId node_id, const InpgConfig &config,
                                  const CohConfig &coh_config)
     : node(node_id), cfg(config), cohCfg(coh_config),
       table(config.barrierEntries, config.eiEntries, config.barrierTtl)
-{
-    stats = StatGroup(format("pktgen%d", node_id));
-}
+{}
 
 BrState
 PacketGenerator::barrierState(Addr addr) const
@@ -67,7 +65,7 @@ PacketGenerator::onGetXArrival(const CohMsgPtr &msg, Cycle now)
     // conversion) while we invalidate the failing core right here.
     msg->earlyInvalidated = true;
     msg->fromBigRouter = true;
-    ++stats.counter("getx_stopped");
+    ++stats.getxStopped;
 
     auto inv = std::make_shared<CoherenceMsg>();
     inv->kind = CohMsgKind::Inv;
@@ -77,7 +75,7 @@ PacketGenerator::onGetXArrival(const CohMsgPtr &msg, Cycle now)
     inv->isLock = true;
     inv->fromBigRouter = true;
     inv->invGeneratedAt = now;
-    ++stats.counter("early_invs_generated");
+    ++stats.earlyInvsGenerated;
     return inv;
 }
 
@@ -100,7 +98,7 @@ PacketGenerator::onGetXTransfer(const CohMsgPtr &msg, Cycle now)
         // exists; it only fails when the table is full (requests then
         // pass through unshielded).
         if (table.createBarrier(msg->addr, now))
-            ++stats.counter("barrier_refreshed");
+            ++stats.barrierRefreshed;
         return;
       default:
         panic("big router %d: table action %d has no dispatch for %s",
@@ -125,14 +123,14 @@ PacketGenerator::onInvAckArrival(const CohMsgPtr &msg, Cycle now)
         // The barrier is armed, but the ack may still be stale when
         // the EI entry belongs to a different core.
         if (table.completeEi(msg->addr, msg->requester, now))
-            ++stats.counter("acks_relayed");
+            ++stats.acksRelayed;
         else
-            ++stats.counter("acks_relayed_stale");
+            ++stats.acksRelayedStale;
         break;
       case BrAction::RelayStale:
         // Barrier gone (or never armed for this core): relay onward so
         // the home still trims its sharer list, but close nothing.
-        ++stats.counter("acks_relayed_stale");
+        ++stats.acksRelayedStale;
         break;
       default:
         panic("big router %d: table action %d has no dispatch for %s",

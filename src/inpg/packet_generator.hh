@@ -18,6 +18,15 @@
 
 namespace inpg {
 
+/** A packet generator's statistics (snapshot group `inpg.gen.N`). */
+struct PacketGenStats : StatGroup {
+    Counter acksRelayed{*this, "acks_relayed"};
+    Counter acksRelayedStale{*this, "acks_relayed_stale"};
+    Counter barrierRefreshed{*this, "barrier_refreshed"};
+    Counter earlyInvsGenerated{*this, "early_invs_generated"};
+    Counter getxStopped{*this, "getx_stopped"};
+};
+
 /**
  * Implements the barrier/EI protocol of paper Section 4.1:
  * - the first transferred GetX[lock] installs a barrier;
@@ -58,7 +67,7 @@ class PacketGenerator
 
     const LockBarrierTable &barrierTable() const { return table; }
 
-    StatGroup stats;
+    PacketGenStats stats;
 
   private:
     /** Classify the barrier FSM state for a lock address (no expiry). */

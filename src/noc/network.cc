@@ -99,24 +99,6 @@ Network::quiescent() const
     return true;
 }
 
-std::uint64_t
-Network::routerCounterTotal(const std::string &key) const
-{
-    std::uint64_t total = 0;
-    for (const auto &r : routers)
-        total += r->stats.value(key);
-    return total;
-}
-
-std::uint64_t
-Network::niCounterTotal(const std::string &key) const
-{
-    std::uint64_t total = 0;
-    for (const auto &ni_ptr : nis)
-        total += ni_ptr->stats.value(key);
-    return total;
-}
-
 void
 Network::setTelemetry(Telemetry *t)
 {
@@ -133,19 +115,6 @@ Network::setTelemetry(Telemetry *t)
                             static_cast<std::uint32_t>(ni_ptr->nodeId()),
                             format("ni %d", ni_ptr->nodeId()));
     }
-}
-
-double
-Network::meanPacketLatency() const
-{
-    double sum = 0;
-    std::uint64_t n = 0;
-    for (const auto &ni_ptr : nis) {
-        const SampleStat &s = ni_ptr->stats.sampleValue("packet_latency");
-        sum += s.sum();
-        n += s.count();
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
 }
 
 } // namespace inpg

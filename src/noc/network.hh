@@ -82,15 +82,6 @@ class Network
     /** True when no flit or packet is anywhere in the fabric. */
     bool quiescent() const;
 
-    /** Sum a counter across all routers. */
-    std::uint64_t routerCounterTotal(const std::string &key) const;
-
-    /** Sum a counter across all NIs. */
-    std::uint64_t niCounterTotal(const std::string &key) const;
-
-    /** Mean end-to-end packet latency observed at the NIs. */
-    double meanPacketLatency() const;
-
     /**
      * Name the router and NI trace tracks when the telemetry facade
      * has a trace sink. NIs and big routers read the facade itself

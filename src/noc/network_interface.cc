@@ -15,12 +15,6 @@ NetworkInterface::NetworkInterface(NodeId node_id, const NocConfig &config,
       deliver(static_cast<std::size_t>(cfg.concentration)),
       routerPort(cfg.totalVcs(), cfg.vcDepth)
 {
-    stats = StatGroup(format("ni%d", node_id));
-    packetsQueuedCtr = &stats.counter("packets_queued");
-    packetsDeliveredCtr = &stats.counter("packets_delivered");
-    packetsSentCtr = &stats.counter("packets_sent");
-    flitsSentCtr = &stats.counter("flits_sent");
-    packetLatencySample = &stats.sample("packet_latency");
     injectQueues.resize(static_cast<std::size_t>(cfg.numVnets));
     reassembly.resize(static_cast<std::size_t>(cfg.totalVcs()));
     rxChannel.bindConsumer(this, &due, 0);
@@ -45,7 +39,7 @@ NetworkInterface::sendPacket(const PacketPtr &pkt, Cycle now)
     pkt->injectCycle = now;
     injectQueues[static_cast<std::size_t>(pkt->vnet)].push_back(pkt);
     ++queuedPkts;
-    ++*packetsQueuedCtr;
+    ++stats.packetsQueued;
     if (Telemetry *t = sim.telemetry()) {
         if (t->packets)
             t->packets->onPacketQueued(*pkt, now);
@@ -109,8 +103,8 @@ NetworkInterface::ejectFlits(Cycle now)
                     buf.size(), pkt->numFlits);
         reassemblingFlits -= buf.size();
         buf.clear();
-        ++*packetsDeliveredCtr;
-        packetLatencySample->add(
+        ++stats.packetsDelivered;
+        stats.packetLatency.add(
             static_cast<double>(now - pkt->injectCycle));
         if (Telemetry *t = sim.telemetry()) {
             if (t->packets)
@@ -197,12 +191,12 @@ NetworkInterface::injectOneFlit(Cycle now)
         }
         routerPort.decrementCredit(fl.vc, now);
         txChannel->pushFlit(std::move(flit), now);
-        ++*flitsSentCtr;
+        ++stats.flitsSent;
 
         ++fl.nextSeq;
         if (fl.nextSeq == pkt->numFlits) {
             routerPort.freeVc(fl.vc);
-            ++*packetsSentCtr;
+            ++stats.packetsSent;
             inflight.erase(inflight.begin() +
                            static_cast<std::ptrdiff_t>(i));
             inflightPointer = n > 1 ? i % (n - 1) : 0;

@@ -37,6 +37,15 @@ namespace inpg {
 
 class Simulator;
 
+/** A network interface's statistics (snapshot group `ni.N`). */
+struct NiStats : StatGroup {
+    Counter flitsSent{*this, "flits_sent"};
+    Counter packetsDelivered{*this, "packets_delivered"};
+    Counter packetsQueued{*this, "packets_queued"};
+    Counter packetsSent{*this, "packets_sent"};
+    Sample packetLatency{*this, "packet_latency"};
+};
+
 /** Endpoint adapter between tile controllers and the router fabric. */
 class NetworkInterface : public Ticking
 {
@@ -104,7 +113,7 @@ class NetworkInterface : public Ticking
      */
     JsonValue debugJson() const;
 
-    StatGroup stats;
+    NiStats stats;
 
   private:
     void ejectFlits(Cycle now);
@@ -153,13 +162,6 @@ class NetworkInterface : public Ticking
      */
     std::size_t queuedPkts = 0;
     std::size_t reassemblingFlits = 0;
-
-    /** Cached hot stat handles (string lookup once at construction). */
-    std::uint64_t *packetsQueuedCtr = nullptr;
-    std::uint64_t *packetsDeliveredCtr = nullptr;
-    std::uint64_t *packetsSentCtr = nullptr;
-    std::uint64_t *flitsSentCtr = nullptr;
-    SampleStat *packetLatencySample = nullptr;
 };
 
 } // namespace inpg

@@ -38,14 +38,9 @@ Router::Router(NodeId node_id, const NocConfig &config_in,
     INPG_ASSERT(routing != nullptr, "router %d needs a routing algorithm",
                 node_id);
     routeTable = routing->buildTable(node_id, cfg.numNodes());
-    stats = StatGroup(format("router%d", node_id));
     for (int p = 0; p < NUM_PORTS; ++p)
         inputs[static_cast<std::size_t>(p)].bindConsumer(this, &due, p);
     nInPorts = NUM_PORTS;
-    flitsReceivedCtr = &stats.counter("flits_received");
-    flitsSentCtr = &stats.counter("flits_sent");
-    packetsRoutedCtr = &stats.counter("packets_routed");
-    vaGrantsCtr = &stats.counter("va_grants");
 }
 
 void
@@ -72,7 +67,7 @@ Router::injectGenerated(const PacketPtr &pkt, Cycle now)
                 "generated packets must be single-flit control messages");
     (void)now;
     genQueue.push_back(pkt);
-    ++stats.counter("gen_packets_queued");
+    ++stats.genPacketsQueued;
     wakeSelf();
 }
 
@@ -188,7 +183,7 @@ Router::drainFlits(Cycle now)
                 life->arrive(id, now);
         }
         vcs.receiveFlit(p, std::move(flit), now);
-        ++*flitsReceivedCtr;
+        ++stats.flitsReceived;
     }
 }
 
@@ -209,7 +204,7 @@ Router::drainGeneratorQueue(Cycle now)
             pkt->networkEntryCycle = now;
             Packet *injected = pkt.get();
             vcs.receiveFlit(genPort, std::move(flit), now);
-            ++stats.counter("gen_packets_injected");
+            ++stats.genPacketsInjected;
             genQueue.pop_front();
             return injected;
         }
@@ -251,7 +246,7 @@ Router::tryAllocateVc(int port, VcId v, Cycle now)
     r.outVc = static_cast<std::int8_t>(out_vc);
     r.state = VcStateArray::Active;
     vcs.refreshMask(port, v);
-    ++*vaGrantsCtr;
+    ++stats.vaGrants;
     if (PacketLifetime *life = vcs.front(s)->packet->lifetime)
         life->currentHop(id).vaGrant = now;
 }
@@ -294,7 +289,7 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
     if (isHeadFlit(flit->type)) {
         onHeadFlitGranted(flit, inport, static_cast<Direction>(outport),
                           now);
-        ++*packetsRoutedCtr;
+        ++stats.packetsRouted;
         if (PacketLifetime *life = flit->packet->lifetime)
             life->currentHop(id).depart = now;
     }
@@ -313,7 +308,7 @@ Router::switchTraverse(int inport, VcId v, int outport, Cycle now)
         vcs.refreshMask(inport, v);
     }
     ou.outChannel()->pushFlit(std::move(flit), now);
-    ++*flitsSentCtr;
+    ++stats.flitsSent;
 }
 
 void

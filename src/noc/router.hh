@@ -37,6 +37,18 @@
 
 namespace inpg {
 
+/** A router's statistics (snapshot group `router.N`), BigRouter's included. */
+struct RouterStats : StatGroup {
+    Counter earlyInvsInjected{*this, "early_invs_injected"};
+    Counter flitsReceived{*this, "flits_received"};
+    Counter flitsSent{*this, "flits_sent"};
+    Counter genPacketsInjected{*this, "gen_packets_injected"};
+    Counter genPacketsQueued{*this, "gen_packets_queued"};
+    Counter invAcksRelayed{*this, "inv_acks_relayed"};
+    Counter packetsRouted{*this, "packets_routed"};
+    Counter vaGrants{*this, "va_grants"};
+};
+
 /** Baseline ("normal") NoC router. */
 class Router : public Ticking
 {
@@ -73,8 +85,7 @@ class Router : public Ticking
     /** True for BigRouter instances (iNPG deployment queries). */
     virtual bool isBigRouter() const { return false; }
 
-    /** Router-local statistics. */
-    StatGroup stats;
+    RouterStats stats;
 
     /** Sum of flits buffered across all input units (invariant checks). */
     std::size_t bufferedFlits() const;
@@ -246,12 +257,6 @@ class Router : public Ticking
      *  OCOR reorders competing requests without starving responses). */
     std::array<std::size_t, VcStateArray::MAX_PORTS> saInportVnetPtr{};
     std::array<std::size_t, NUM_PORTS> saOutportVnetPtr{};
-
-    /** Cached hot counters (string lookup once at construction). */
-    std::uint64_t *flitsReceivedCtr = nullptr;
-    std::uint64_t *flitsSentCtr = nullptr;
-    std::uint64_t *packetsRoutedCtr = nullptr;
-    std::uint64_t *vaGrantsCtr = nullptr;
 };
 
 } // namespace inpg

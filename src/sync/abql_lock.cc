@@ -49,7 +49,7 @@ AbqlLock::pollPhase(ThreadId t)
                     [this, t, slot](std::uint64_t flags) {
         if ((flags & bitOfSlot(slot)) == 0) {
             ++threadState[static_cast<std::size_t>(t)].retries;
-            ++stats.counter("spin_reads_busy");
+            ++stats.spinReadsBusy;
             spinDelay([this, t] { pollPhase(t); });
             return;
         }
@@ -61,7 +61,7 @@ AbqlLock::pollPhase(ThreadId t)
             true, [this, t](std::uint64_t, bool) {
                 PerThread &s = threadState[static_cast<std::size_t>(t)];
                 markAcquired(t);
-                stats.sample("retries_per_acquire").add(s.retries);
+                stats.retriesPerAcquire.add(s.retries);
                 DoneFn done = std::move(s.done);
                 s.done = nullptr;
                 done();

@@ -30,7 +30,6 @@ LockPrimitive::LockPrimitive(std::string lock_name, CoherentSystem &system,
       numThreads(threads), lockName(std::move(lock_name))
 {
     INPG_ASSERT(threads > 0, "lock with no threads");
-    stats = StatGroup(lockName);
 }
 
 void
@@ -76,7 +75,7 @@ LockPrimitive::markAcquired(ThreadId t)
                 "while thread %d holds",
                 lockName.c_str(), t, holderThread);
     holderThread = t;
-    ++stats.counter("acquisitions");
+    ++stats.acquisitions;
 }
 
 void
@@ -87,7 +86,7 @@ LockPrimitive::markReleased(ThreadId t)
                 lockName.c_str());
     --numHolders;
     holderThread = -1;
-    ++stats.counter("releases");
+    ++stats.releases;
 }
 
 } // namespace inpg

@@ -46,7 +46,7 @@ McsLock::acquire(ThreadId t, DoneFn done, ThreadHooks *hooks)
                     // Link behind the predecessor, then wait for the
                     // hand-off on our own flag.
                     ThreadId pred = static_cast<ThreadId>(prev - 1);
-                    ++stats.counter("queued_acquires");
+                    ++stats.queuedAcquires;
                     l1(t).issueStore(
                         nextAddrs[static_cast<std::size_t>(pred)],
                         static_cast<std::uint64_t>(t) + 1, true,
@@ -65,7 +65,7 @@ McsLock::pollLocked(ThreadId t)
             return;
         }
         ++state(t).retries;
-        ++stats.counter("spin_reads_busy");
+        ++stats.spinReadsBusy;
         spinDelay([this, t] { pollLocked(t); });
     });
 }
@@ -75,7 +75,7 @@ McsLock::finishAcquire(ThreadId t)
 {
     PerThread &st = state(t);
     markAcquired(t);
-    stats.sample("retries_per_acquire").add(st.retries);
+    stats.retriesPerAcquire.add(st.retries);
     DoneFn done = std::move(st.done);
     st.done = nullptr;
     done();
@@ -110,7 +110,7 @@ McsLock::release(ThreadId t, DoneFn done)
                     return;
                 }
                 // A successor is linking right now; wait for the link.
-                ++stats.counter("release_link_races");
+                ++stats.releaseLinkRaces;
                 waitForSuccessor(t, std::move(done));
             });
     });

@@ -66,7 +66,7 @@ QslLock::readPhase(ThreadId t)
         PerThread &st = threadState[static_cast<std::size_t>(t)];
         if (v != 0) {
             ++st.retries;
-            ++stats.counter("spin_reads_busy");
+            ++stats.spinReadsBusy;
             if (budgetExhausted(t)) {
                 considerSleep(t);
                 return;
@@ -88,24 +88,24 @@ QslLock::swapPhase(ThreadId t, bool force_exclusive)
                       [this, t](std::uint64_t old, bool demoted) {
         PerThread &st = threadState[static_cast<std::size_t>(t)];
         if (demoted && old == 0) {
-            ++stats.counter("demotion_escalations");
+            ++stats.demotionEscalations;
             swapPhase(t, true);
             return;
         }
         if (!demoted && old == 0) {
             markAcquired(t);
-            stats.sample("retries_per_acquire").add(st.retries);
+            stats.retriesPerAcquire.add(st.retries);
             if (st.wokenUp)
-                ++stats.counter("acquired_after_sleep");
+                ++stats.acquiredAfterSleep;
             else
-                ++stats.counter("acquired_spinning");
+                ++stats.acquiredSpinning;
             DoneFn done = std::move(st.done);
             st.done = nullptr;
             done();
             return;
         }
         ++st.retries;
-        ++stats.counter("swap_failures");
+        ++stats.swapFailures;
         if (budgetExhausted(t)) {
             considerSleep(t);
             return;
@@ -145,13 +145,13 @@ QslLock::commitOrAbortSleep(ThreadId t)
             st.sleeping = false;
             sleepQueue.erase(
                 std::find(sleepQueue.begin(), sleepQueue.end(), t));
-            ++stats.counter("sleep_aborted");
+            ++stats.sleepAborted;
             swapPhase(t);
             return;
         }
         // Commit: pay the context switch; the thread now only runs
         // again via wake().
-        ++stats.counter("sleeps");
+        ++stats.sleeps;
         markSleepBegin(t);
         if (st.hooks && st.hooks->onSleep)
             st.hooks->onSleep();
@@ -166,7 +166,7 @@ QslLock::wake(ThreadId t)
     st.sleeping = false;
     st.wokenUp = true;
     st.spinStart = sim.now();
-    ++stats.counter("wakeups");
+    ++stats.wakeups;
     // Context-switch out (charged on the sleep side) + wakeup cost.
     sim.scheduleIn(cfg.contextSwitchCost + cfg.wakeupCost, [this, t] {
         PerThread &state = threadState[static_cast<std::size_t>(t)];

@@ -33,7 +33,7 @@ TasLock::readPhase(ThreadId t)
         PerThread &st = threadState[static_cast<std::size_t>(t)];
         if (v != 0) {
             ++st.retries;
-            ++stats.counter("spin_reads_busy");
+            ++stats.spinReadsBusy;
             spinDelay([this, t] { readPhase(t); });
             return;
         }
@@ -53,7 +53,7 @@ TasLock::swapPhase(ThreadId t, bool force_exclusive)
             PerThread &st = threadState[static_cast<std::size_t>(t)];
             if (!demoted && old == 0) {
                 markAcquired(t);
-                stats.sample("retries_per_acquire").add(st.retries);
+                stats.retriesPerAcquire.add(st.retries);
                 DoneFn done = std::move(st.done);
                 st.done = nullptr;
                 done();
@@ -62,12 +62,12 @@ TasLock::swapPhase(ThreadId t, bool force_exclusive)
             if (demoted && old == 0) {
                 // Lock freed while our demoted request was in flight:
                 // insist on ownership this time.
-                ++stats.counter("demotion_escalations");
+                ++stats.demotionEscalations;
                 swapPhase(t, true);
                 return;
             }
             ++st.retries;
-            ++stats.counter("swap_failures");
+            ++stats.swapFailures;
             spinDelay([this, t] { readPhase(t); });
         },
         /*demotable=*/!force_exclusive);

@@ -41,7 +41,7 @@ TicketLock::pollPhase(ThreadId t)
         PerThread &st = threadState[static_cast<std::size_t>(t)];
         if (serving == st.ticket) {
             markAcquired(t);
-            stats.sample("retries_per_acquire").add(st.retries);
+            stats.retriesPerAcquire.add(st.retries);
             DoneFn done = std::move(st.done);
             st.done = nullptr;
             done();
@@ -54,7 +54,7 @@ TicketLock::pollPhase(ThreadId t)
                     static_cast<unsigned long long>(serving),
                     static_cast<unsigned long long>(st.ticket));
         ++st.retries;
-        ++stats.counter("spin_reads_busy");
+        ++stats.spinReadsBusy;
         spinDelay([this, t] { pollPhase(t); });
     });
 }

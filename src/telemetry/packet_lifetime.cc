@@ -26,7 +26,7 @@ PacketLifetimeTracker::PacketLifetimeTracker(TraceEventSink *trace_sink)
 void
 PacketLifetimeTracker::onPacketQueued(Packet &pkt, Cycle now)
 {
-    ++stats.counter("packets_tracked");
+    ++stats.packetsTracked;
     PacketLifetime &rec = live[pkt.id];
     rec = PacketLifetime{pkt.src, pkt.dst, pkt.vnet, now, now, {}};
     pkt.lifetime = &rec;
@@ -39,17 +39,17 @@ PacketLifetimeTracker::onPacketEjected(Packet &pkt, Cycle now)
         return;
     const PacketLifetime &rec = *pkt.lifetime;
 
-    ++stats.counter("packets_completed");
-    stats.sample("queue_wait")
+    ++stats.packetsCompleted;
+    stats.queueWait
         .add(static_cast<double>(rec.entered - rec.queued));
-    stats.sample("net_latency")
+    stats.netLatency
         .add(static_cast<double>(now - rec.entered));
-    stats.sample("total_latency")
+    stats.totalLatency
         .add(static_cast<double>(now - rec.queued));
-    stats.sample("hops").add(static_cast<double>(rec.hops.size()));
+    stats.hops.add(static_cast<double>(rec.hops.size()));
 
-    SampleStat &bufWait = stats.sample("hop_buffer_wait");
-    SampleStat &stWait = stats.sample("hop_switch_wait");
+    SampleStat &bufWait = stats.hopBufferWait;
+    SampleStat &stWait = stats.hopSwitchWait;
     const char *label = sink ? packetLabel(pkt) : nullptr;
     for (const PacketHop &h : rec.hops) {
         bufWait.add(static_cast<double>(h.vaGrant - h.arrive));

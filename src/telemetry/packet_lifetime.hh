@@ -79,6 +79,18 @@ struct PacketLifetime {
     }
 };
 
+/** Packet-lifetime statistics (snapshot group `noc.packets`). */
+struct PacketStats : StatGroup {
+    Counter packetsCompleted{*this, "packets_completed"};
+    Counter packetsTracked{*this, "packets_tracked"};
+    Sample hopBufferWait{*this, "hop_buffer_wait"};
+    Sample hopSwitchWait{*this, "hop_switch_wait"};
+    Sample hops{*this, "hops"};
+    Sample netLatency{*this, "net_latency"};
+    Sample queueWait{*this, "queue_wait"};
+    Sample totalLatency{*this, "total_latency"};
+};
+
 /** Opens, rolls up and retires the packets' lifetime records. */
 class PacketLifetimeTracker
 {
@@ -96,7 +108,7 @@ class PacketLifetimeTracker
     void onPacketEjected(Packet &pkt, Cycle now);
 
     /** Aggregated latency statistics over completed packets. */
-    const StatGroup &statGroup() const { return stats; }
+    PacketStats stats;
 
     /** Packets currently tracked in flight. */
     std::size_t inFlight() const { return live.size(); }
@@ -115,7 +127,6 @@ class PacketLifetimeTracker
      * records come and go.
      */
     std::map<PacketId, PacketLifetime> live;
-    StatGroup stats{"packets"};
 };
 
 } // namespace inpg

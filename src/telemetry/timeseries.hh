@@ -51,8 +51,8 @@ class TimeseriesSampler
 
     /**
      * Register a counter column (delta per epoch). The pointer must
-     * stay valid for the sampler's lifetime; StatGroup counter
-     * references are stable, so `&group.counter("key")` qualifies.
+     * stay valid for the sampler's lifetime; a Counter::address()
+     * qualifies.
      */
     void addCounter(std::string name, const std::uint64_t *counter);
 

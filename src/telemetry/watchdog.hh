@@ -77,7 +77,7 @@ class ProgressWatchdog
 
     /**
      * Register a progress counter. The pointer must stay valid for the
-     * watchdog's lifetime; StatGroup counter references are stable.
+     * watchdog's lifetime; a Counter::address() qualifies.
      */
     void watchCounter(const std::uint64_t *counter);
 
@@ -112,7 +112,6 @@ class ProgressWatchdog
     Cycle lastProgressAt() const { return lastProgressCycle; }
     std::uint64_t polls() const { return pollCount; }
     std::uint64_t trips() const { return tripCount; }
-    std::size_t numCounters() const { return counters.size(); }
 
   private:
     void poll(Cycle now);

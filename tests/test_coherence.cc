@@ -72,7 +72,7 @@ TEST(Coherence, StoreAfterExclusiveLoadHitsLocally)
     EXPECT_EQ(h.sys->l1(1).lineState(a), L1State::M);
     EXPECT_EQ(h.sys->l1(1).lineValue(a), 42u);
     // The store hit locally: no GetX reached the home.
-    EXPECT_EQ(h.sys->directory(3).stats.value("getx"), 0u);
+    EXPECT_EQ(h.sys->directory(3).stats.getx, 0u);
 }
 
 TEST(Coherence, SecondReaderSharesViaOwnerForward)

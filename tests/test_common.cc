@@ -12,6 +12,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/strutil.hh"
+#include "telemetry/stats_registry.hh"
 
 namespace inpg {
 namespace {
@@ -297,27 +298,62 @@ TEST(StrUtil, Parsers)
 // Stats
 // ---------------------------------------------------------------------
 
+/** A stat group declared out of name order. */
+struct ToyStats : StatGroup {
+    Counter misses{*this, "misses"};
+    Counter hits{*this, "hits"};
+    Sample lat{*this, "lat"};
+    Sample idle{*this, "idle"};
+};
+
 TEST(Stats, CountersAndSamples)
 {
-    StatGroup g("grp");
-    ++g.counter("hits");
-    g.counter("hits") += 2;
-    EXPECT_EQ(g.value("hits"), 3u);
-    EXPECT_EQ(g.value("absent"), 0u);
+    ToyStats g;
+    const auto listed = [&g] {
+        return StatsRegistry::groupToJson(g).dump();
+    };
+    // Nothing is listed until it has been bumped.
+    EXPECT_EQ(listed(), "{\"counters\":{},\"samples\":{}}");
 
-    g.sample("lat").add(10);
-    g.sample("lat").add(30);
+    ++g.misses;
+    g.misses += 2;
+    EXPECT_EQ(g.misses, 3u);
+    EXPECT_EQ(g.value("misses"), 3u);
+    EXPECT_EQ(g.value("hits"), 0u);
+    EXPECT_EQ(listed(), "{\"counters\":{\"misses\":3},\"samples\":{}}");
+    ++g.hits;
+    EXPECT_EQ(listed(),
+              "{\"counters\":{\"hits\":1,\"misses\":3},\"samples\":{}}");
+
+    g.lat.add(10);
+    g.lat.add(30);
     EXPECT_DOUBLE_EQ(g.sampleValue("lat").mean(), 20.0);
     EXPECT_DOUBLE_EQ(g.sampleValue("lat").min(), 10.0);
     EXPECT_DOUBLE_EQ(g.sampleValue("lat").max(), 30.0);
+    EXPECT_EQ(listed(), "{\"counters\":{\"hits\":1,\"misses\":3},"
+                        "\"samples\":{\"lat\":{\"count\":2,\"sum\":40,"
+                        "\"mean\":20,\"min\":10,\"max\":30}}}");
+
+    // Every declared stat is enumerated in name order, zero or not.
+    std::string names;
+    for (const auto &e : g.entries())
+        names += std::string(e.name) + (e.counter ? "," : ";");
+    EXPECT_EQ(names, "hits,idle;lat;misses,");
+
+    // Undeclared names (and names of the other kind) read as zero.
+    EXPECT_EQ(g.value("absent"), 0u);
+    EXPECT_EQ(g.value("lat"), 0u);
     EXPECT_EQ(g.sampleValue("nothing").count(), 0u);
+    EXPECT_EQ(g.sampleValue("hits").count(), 0u);
+}
 
-    std::string dump = g.dump();
-    EXPECT_NE(dump.find("grp.hits = 3"), std::string::npos);
-
-    g.reset();
-    EXPECT_EQ(g.value("hits"), 0u);
-    EXPECT_EQ(g.sampleValue("lat").count(), 0u);
+TEST(Stats, DeclaringANameTwiceIsFatal)
+{
+    struct Twice : StatGroup {
+        Counter a{*this, "x"};
+        Sample b{*this, "x"};
+    };
+    EXPECT_DEATH({ Twice t; }, "stat 'x' declared twice");
 }
 
 TEST(Logging, FatalThrowsPanicKillsNot)

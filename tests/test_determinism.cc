@@ -69,7 +69,7 @@ fingerprintOf(System &system, const Workload &workload)
     for (NodeId n = 0; n < system.coherent().network().numRouters();
          ++n)
         f.flitsSent += system.coherent().network().router(n)
-                           .stats.value("flits_sent");
+                           .stats.flitsSent;
     return f;
 }
 

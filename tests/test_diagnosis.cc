@@ -247,9 +247,9 @@ TEST(Diagnosis, EnablingObserversNeverChangesSimulatedResults)
         system.runUntil([&] { return w.done(); });
         std::uint64_t l1_sum = 0;
         for (int c = 0; c < cfg.numCores(); ++c)
-            for (const auto &kv :
-                 system.coherent().l1(c).stats.allCounters())
-                l1_sum += kv.second;
+            for (const auto &e : system.coherent().l1(c).stats.entries())
+                if (e.counter)
+                    l1_sum += *e.counter;
         return std::make_tuple(w.roiFinish(), w.csCompleted(), l1_sum,
                                system.totalEarlyInvs());
     };

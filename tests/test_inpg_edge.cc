@@ -82,7 +82,7 @@ TEST(PacketGenerator, IgnoresNonLockNonAtomicAndAlreadyStopped)
     release_store->isAtomicOp = false; // a release store
     EXPECT_EQ(h.gen->onGetXArrival(release_store, 2), nullptr);
     h.gen->onGetXTransfer(release_store, 2); // must not install either
-    EXPECT_EQ(h.gen->stats.value("getx_stopped"), 0u);
+    EXPECT_EQ(h.gen->stats.getxStopped, 0u);
 
     auto stopped_elsewhere = makeLockGetX(0x500, 4);
     stopped_elsewhere->earlyInvalidated = true;
@@ -106,11 +106,11 @@ TEST(PacketGenerator, AckRelayClosesEiAndRedirectsHome)
     NodeId home = h.gen->onInvAckArrival(ack, 30);
     EXPECT_EQ(home, h.coh.homeOf(0x500));
     EXPECT_EQ(h.gen->barrierTable().numEis(0x500), 0u);
-    EXPECT_EQ(h.gen->stats.value("acks_relayed"), 1u);
+    EXPECT_EQ(h.gen->stats.acksRelayed, 1u);
 
     // A duplicate/stale ack still relays but counts as stale.
     EXPECT_EQ(h.gen->onInvAckArrival(ack, 31), home);
-    EXPECT_EQ(h.gen->stats.value("acks_relayed_stale"), 1u);
+    EXPECT_EQ(h.gen->stats.acksRelayedStale, 1u);
 
     // Non-early acks are not the generator's business.
     auto normal = std::make_shared<CoherenceMsg>();
@@ -241,7 +241,7 @@ TEST(InpgEdge, LockHomedAtBigRouterTile)
     std::uint64_t early = 0;
     for (NodeId n = 0; n < 16; ++n) {
         auto *br = dynamic_cast<BigRouter *>(&h.sys->network().router(n));
-        early += br->generator().stats.value("early_invs_generated");
+        early += br->generator().stats.earlyInvsGenerated;
     }
     EXPECT_GT(early, 0u);
 }
@@ -278,14 +278,14 @@ TEST(InpgEdge, IdleBarrierSleepsUntilItsExpiry)
             idleSince = c; // installed as the GetX left on the switch
         if (idleSince == CYCLE_NEVER)
             continue;
-        const bool expired = table.stats.value("barriers_expired") == 1;
+        const bool expired = table.stats.barriersExpired == 1;
         EXPECT_EQ(expired, c >= idleSince + icfg.barrierTtl) << c;
         EXPECT_EQ(table.contains(lock), !expired) << c;
         EXPECT_FALSE(tok.active()) << c;
         EXPECT_EQ(tok.wakePending(), !expired) << c;
     }
     ASSERT_NE(idleSince, CYCLE_NEVER);
-    EXPECT_EQ(table.stats.value("barriers_expired"), 1u);
+    EXPECT_EQ(table.stats.barriersExpired, 1u);
 }
 
 /**

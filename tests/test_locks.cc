@@ -74,10 +74,9 @@ TEST_P(LockKindTest, AllThreadsCompleteAllRounds)
     auto order = h.contend(rounds, 50);
     EXPECT_EQ(order.size(),
               static_cast<std::size_t>(h.cfg.numCores() * rounds));
-    EXPECT_EQ(h.lock->stats.value("acquisitions"),
+    EXPECT_EQ(h.lock->stats.acquisitions,
               static_cast<std::uint64_t>(h.cfg.numCores() * rounds));
-    EXPECT_EQ(h.lock->stats.value("acquisitions"),
-              h.lock->stats.value("releases"));
+    EXPECT_EQ(h.lock->stats.acquisitions, h.lock->stats.releases);
     // Every thread appears exactly `rounds` times.
     std::vector<int> counts(static_cast<std::size_t>(h.cfg.numCores()),
                             0);
@@ -161,11 +160,11 @@ TEST(QslLock, ContentionCausesSleepsAndAllWake)
     auto order = h.contend(2, 4000);
     auto *qsl = dynamic_cast<QslLock *>(h.lock);
     ASSERT_NE(qsl, nullptr);
-    EXPECT_GT(h.lock->stats.value("sleeps"), 0u);
+    EXPECT_GT(h.lock->stats.sleeps, 0u);
     EXPECT_EQ(qsl->sleepers(), 0u) << "thread left asleep";
-    EXPECT_EQ(h.lock->stats.value("wakeups") +
-                  h.lock->stats.value("sleep_aborted"),
-              h.lock->stats.value("sleeps"));
+    EXPECT_EQ(h.lock->stats.wakeups +
+                  h.lock->stats.sleepAborted,
+              h.lock->stats.sleeps);
 }
 
 TEST(QslLock, NoSleepsWithoutContention)
@@ -185,7 +184,7 @@ TEST(QslLock, NoSleepsWithoutContention)
     };
     next(0);
     h.system->runUntil([&] { return done == 8; }, 1000000);
-    EXPECT_EQ(h.lock->stats.value("sleeps"), 0u);
+    EXPECT_EQ(h.lock->stats.sleeps, 0u);
 }
 
 TEST(Ocor, PrioritiesAreStampedUnderOcorMechanism)

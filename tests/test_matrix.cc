@@ -81,8 +81,8 @@ TEST_P(MechanismLockMatrix, ContendedRunCompletesConsistently)
     // Every lock's acquisitions balance its releases and the mutual-
     // exclusion guard never fired (it panics on violation).
     for (const auto &lock : system.locks().locks()) {
-        EXPECT_EQ(lock->stats.value("acquisitions"),
-                  lock->stats.value("releases"));
+        EXPECT_EQ(lock->stats.acquisitions,
+                  lock->stats.releases);
         EXPECT_EQ(lock->holders(), 0);
     }
     // iNPG fires exactly when deployed.

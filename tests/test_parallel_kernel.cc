@@ -121,7 +121,7 @@ runOnce(const RunSpec &spec, std::string *stats_json = nullptr)
     for (NodeId n = 0; n < system.coherent().network().numRouters();
          ++n)
         f.flitsSent += system.coherent().network().router(n)
-                           .stats.value("flits_sent");
+                           .stats.flitsSent;
     if (stats_json) {
         // Exclude the host-time self-profile: everything else in the
         // snapshot is simulated state and must match across thread
@@ -490,7 +490,10 @@ struct NocHarness {
     std::uint64_t
     flitsSent() const
     {
-        return net->routerCounterTotal("flits_sent");
+        std::uint64_t total = 0;
+        for (NodeId r = 0; r < net->numRouters(); ++r)
+            total += net->router(r).stats.flitsSent;
+        return total;
     }
 
     NocConfig cfg;
@@ -547,9 +550,9 @@ TEST(ParallelKernel, HopTimingMatchesSerialEveryCycle)
         for (Cycle c = 0; c < span; ++c) {
             h.sim.step();
             for (NodeId id = 0; id < h.net->numRouters(); ++id) {
-                const StatGroup &st = h.net->router(id).stats;
-                trace.push_back(st.value("flits_received"));
-                trace.push_back(st.value("flits_sent"));
+                const RouterStats &st = h.net->router(id).stats;
+                trace.push_back(st.flitsReceived);
+                trace.push_back(st.flitsSent);
             }
         }
         return trace;
@@ -621,7 +624,7 @@ TEST(ParallelKernel, ShutdownHandsBackSerialStepping)
 
 /** Cycle at which a counter first read `target` after a step. */
 struct FirstAt {
-    const std::uint64_t *counter;
+    const Counter *counter;
     std::uint64_t target = 1;
     Cycle at = CYCLE_NEVER;
 
@@ -649,12 +652,12 @@ TEST(WakeDeterminism, SleepingRouterAndNiWakeAtDeliveryCycle)
     SleepToken &r0 = net.router(0).sleepToken();
     SleepToken &r1 = net.router(1).sleepToken();
     SleepToken &ni1 = net.ni(1).sleepToken();
-    FirstAt niSent{&net.ni(0).stats.counter("flits_sent")};
-    FirstAt r0Got{&net.router(0).stats.counter("flits_received")};
-    FirstAt r0Sent{&net.router(0).stats.counter("flits_sent")};
-    FirstAt r1Got{&net.router(1).stats.counter("flits_received")};
-    FirstAt r1Sent{&net.router(1).stats.counter("flits_sent")};
-    FirstAt ejected{&net.ni(1).stats.counter("packets_delivered")};
+    FirstAt niSent{&net.ni(0).stats.flitsSent};
+    FirstAt r0Got{&net.router(0).stats.flitsReceived};
+    FirstAt r0Sent{&net.router(0).stats.flitsSent};
+    FirstAt r1Got{&net.router(1).stats.flitsReceived};
+    FirstAt r1Sent{&net.router(1).stats.flitsSent};
+    FirstAt ejected{&net.ni(1).stats.packetsDelivered};
     while (ejected.at == CYCLE_NEVER && h.sim.now() < 100) {
         const Cycle c = h.sim.now();
         // Start of cycle c, before its timed wakes apply.
@@ -702,14 +705,13 @@ TEST(WakeDeterminism, FlitInFlightIsNotADeadlockOrAnIdleSpan)
         h.sim.setTelemetry(&tel);
         Network &net = *h.net;
         net.inject(net.makePacket(0, 1, 0, 1), h.sim.now());
-        const std::uint64_t &sent = net.router(0).stats.counter("flits_sent");
+        const Counter &sent = net.router(0).stats.flitsSent;
         while (sent == 0 && h.sim.now() < 100)
             h.sim.step();
         EXPECT_EQ(h.sim.activeComponents(), 0u);
         EXPECT_TRUE(h.sim.events().empty());
         EXPECT_TRUE(net.router(1).sleepToken().wakePending());
-        const std::uint64_t &done =
-            net.ni(1).stats.counter("packets_delivered");
+        const Counter &done = net.ni(1).stats.packetsDelivered;
         const Cycle ff = h.sim.cyclesFastForwarded();
         bool ok = false;
         EXPECT_NO_THROW(

@@ -120,7 +120,7 @@ TEST(MemoryController, SerializesAtServiceInterval)
     EXPECT_EQ(done[0], 50u);
     EXPECT_EQ(done[1], 54u); // +serviceInterval
     EXPECT_EQ(done[2], 58u);
-    EXPECT_EQ(mc.stats.value("fetches"), 3u);
+    EXPECT_EQ(mc.stats.fetches, 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -164,7 +164,7 @@ TEST(Directory, ColdMissPaysDramLatency)
     h.sys->l1(1).issueLoad(a, false, [&](std::uint64_t) { done = true; });
     h.runUntil([&] { return done; });
     EXPECT_LT(h.sim.now() - start, cold);
-    EXPECT_EQ(h.sys->directory(5).stats.value("cold_misses"), 1u);
+    EXPECT_EQ(h.sys->directory(5).stats.coldMisses, 1u);
 }
 
 TEST(Directory, TracksOwnerAndSharers)

@@ -14,6 +14,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/system.hh"
+#include "inpg/packet_generator.hh"
 #include "workload/benchmark_profile.hh"
 #include "workload/workload.hh"
 
@@ -63,7 +64,7 @@ runWithLco(LockKind kind, Mechanism mech = Mechanism::Original,
     out.csCompleted = w.csCompleted();
     for (int c = 0; c < cfg.numCores(); ++c)
         out.lockCohCycles +=
-            system.coherent().l1(c).stats.value("lock_coh_cycles");
+            system.coherent().l1(c).stats.lockCohCycles;
     return out;
 }
 
@@ -166,9 +167,9 @@ TEST(Telemetry, EnablingItNeverChangesSimulatedResults)
         system.runUntil([&] { return w.done(); });
         std::uint64_t l1_sum = 0;
         for (int c = 0; c < cfg.numCores(); ++c)
-            for (const auto &kv :
-                 system.coherent().l1(c).stats.allCounters())
-                l1_sum += kv.second;
+            for (const auto &e : system.coherent().l1(c).stats.entries())
+                if (e.counter)
+                    l1_sum += *e.counter;
         return std::make_tuple(w.roiFinish(), w.csCompleted(), l1_sum,
                                system.totalEarlyInvs());
     };
@@ -214,15 +215,13 @@ TEST(PacketLifetime, QueueAndNetworkLegsSumToTotalLatency)
     w.start();
     system.runUntil([&] { return w.done(); });
 
-    const StatGroup &ps = system.telemetry()->packets->statGroup();
-    ASSERT_GT(ps.value("packets_completed"), 0u);
-    EXPECT_EQ(ps.value("packets_tracked"),
-              ps.value("packets_completed") +
-                  system.telemetry()->packets->inFlight());
-    EXPECT_DOUBLE_EQ(ps.sampleValue("queue_wait").sum() +
-                         ps.sampleValue("net_latency").sum(),
-                     ps.sampleValue("total_latency").sum());
-    EXPECT_GE(ps.sampleValue("hops").min(), 1.0);
+    const PacketStats &ps = system.telemetry()->packets->stats;
+    ASSERT_GT(ps.packetsCompleted, 0u);
+    EXPECT_EQ(ps.packetsTracked,
+              ps.packetsCompleted + system.telemetry()->packets->inFlight());
+    EXPECT_DOUBLE_EQ(ps.queueWait.sum() + ps.netLatency.sum(),
+                     ps.totalLatency.sum());
+    EXPECT_GE(ps.hops.min(), 1.0);
 }
 
 TEST(TraceEvents, SinkCapsAndCounts)
@@ -262,6 +261,48 @@ TEST(StatsSnapshot, DocumentHasAllSections)
     EXPECT_NE(text.find("\"sim.cycles\""), std::string::npos);
     EXPECT_NE(text.find("\"l1.0\""), std::string::npos);
     EXPECT_NE(text.find("lock.") , std::string::npos);
+}
+
+/** True when `g` declares a counter or sample called `name`. */
+bool
+declares(const StatGroup &g, const std::string &name)
+{
+    for (const auto &e : g.entries())
+        if (name == e.name)
+            return true;
+    return false;
+}
+
+TEST(StatsSnapshot, NamesReadByNameStayDeclared)
+{
+    // Stats read by name, where a rename would silently read 0:
+    // perfbench's collectLayers and lock_coh_cycles, runBenchmark's
+    // lock_coh_cycles/sleeps/wakeups, System::totalEarlyInvs and
+    // inpg_sim dump_stats=1's early_invs_generated.
+    const L1Stats l1;
+    const DirStats dir;
+    const RouterStats router;
+    const NiStats ni;
+    const PacketGenStats gen;
+    const LockStats lock;
+    const std::vector<std::pair<const StatGroup *, std::vector<std::string>>>
+        contract = {
+            {&l1,
+             {"load_misses", "write_misses", "write_upgrades",
+              "invalidations", "lock_rmw_latency", "lock_coh_cycles"}},
+            {&dir, {"gets", "getx", "queue_depth_at_dequeue"}},
+            {&router, {"flits_sent"}},
+            {&ni, {"packets_delivered", "packet_latency"}},
+            {&gen,
+             {"early_invs_generated", "acks_relayed", "getx_stopped",
+              "barrier_refreshed"}},
+            {&lock,
+             {"acquisitions", "swap_failures", "retries_per_acquire",
+              "sleeps", "wakeups"}},
+        };
+    for (const auto &[group, names] : contract)
+        for (const std::string &name : names)
+            EXPECT_TRUE(declares(*group, name)) << name;
 }
 
 TEST(Json, BuilderEmitsValidDocuments)

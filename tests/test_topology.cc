@@ -520,7 +520,7 @@ runFabric(const char *topology, int threads)
     for (NodeId n = 0; n < system.coherent().network().numRouters();
          ++n)
         f.flitsSent += system.coherent().network().router(n)
-                           .stats.value("flits_sent");
+                           .stats.flitsSent;
     return f;
 }
 

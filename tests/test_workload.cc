@@ -213,7 +213,7 @@ TEST(Workload, LockHomePinningIsHonored)
     w.start();
     system.runUntil([&] { return w.done(); });
     // The lock's home directory must have seen the traffic.
-    EXPECT_GT(system.coherent().directory(11).stats.value("getx"), 0u);
+    EXPECT_GT(system.coherent().directory(11).stats.getx, 0u);
 }
 
 } // namespace
