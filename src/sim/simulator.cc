@@ -16,12 +16,6 @@ namespace {
 // simulated state, so the determinism lint is opted out on this line.
 using HostClock = std::chrono::steady_clock; // lint:allow(nondeterminism)
 
-double
-secondsSince(HostClock::time_point t0)
-{
-    return std::chrono::duration<double>(HostClock::now() - t0).count();
-}
-
 } // namespace
 
 void
@@ -114,32 +108,25 @@ Simulator::sweepSerial()
         });
         return;
     }
-    // Same cycle, with wall-clock accounting around the event phase
-    // and each tick. The two clock reads per tick distort absolute
-    // times slightly; the events-vs-subsystem *split* is what
-    // perfbench reports.
-    const HostClock::time_point t0 = HostClock::now();
+    // Same cycle, with wall-clock accounting. The reads are chained:
+    // the one read before each tick closes the event phase's or the
+    // previous tick's bucket and opens this tick's.
+    double *const buckets[] = {&profile->routersSec, &profile->nisSec,
+                               &profile->dirsSec, &profile->otherSec};
+    double *open = &profile->eventsSec;
+    HostClock::time_point mark = HostClock::now();
+    const auto close = [&] {
+        const HostClock::time_point now = HostClock::now();
+        *open += std::chrono::duration<double>(now - mark).count();
+        mark = now;
+    };
     runEventPhase();
-    profile->eventsSec += secondsSince(t0);
-    active.sweep([this](std::size_t i) {
-        const HostClock::time_point t1 = HostClock::now();
+    active.sweep([&](std::size_t i) {
+        close();
+        open = buckets[static_cast<std::size_t>(slots[i].phase)];
         slots[i].component->tick(currentCycle);
-        const double dt = secondsSince(t1);
-        switch (slots[i].phase) {
-          case PhaseClass::Router:
-            profile->routersSec += dt;
-            break;
-          case PhaseClass::Ni:
-            profile->nisSec += dt;
-            break;
-          case PhaseClass::Dir:
-            profile->dirsSec += dt;
-            break;
-          case PhaseClass::Other:
-            profile->otherSec += dt;
-            break;
-        }
     });
+    close();
 }
 
 void
