@@ -170,7 +170,6 @@ class L1Controller
         return deferredForwards.size();
     }
 
-    CoreId coreId() const { return core; }
     NodeId nodeId() const { return node; }
 
     /** Register the golden-model op log sink. */

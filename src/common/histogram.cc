@@ -44,17 +44,6 @@ Histogram::add(std::uint64_t sample)
     minSample = total == 1 ? sample : std::min(minSample, sample);
 }
 
-void
-Histogram::reset()
-{
-    std::fill(bins.begin(), bins.end(), 0);
-    overflow = 0;
-    total = 0;
-    sampleSum = 0;
-    maxSample = 0;
-    minSample = 0;
-}
-
 double
 Histogram::mean() const
 {

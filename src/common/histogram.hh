@@ -37,9 +37,6 @@ class Histogram
     /** Record one sample. */
     void add(std::uint64_t sample);
 
-    /** Remove all samples. */
-    void reset();
-
     /** Total number of samples recorded. */
     std::uint64_t count() const { return total; }
 

@@ -105,9 +105,6 @@ class LockBarrierTable
     /** Live EI entries under a barrier (0 when absent). */
     std::size_t numEis(Addr addr) const;
 
-    std::size_t maxBarriers() const { return barrierCapacity; }
-    std::size_t maxEis() const { return eiCapacity; }
-
     /**
      * Table contents for the hang report: every barrier with its EI
      * entries (core, phase, age), in slot order (deterministic).

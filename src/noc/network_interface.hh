@@ -90,9 +90,6 @@ class NetworkInterface : public Ticking
 
     NodeId nodeId() const { return id; }
 
-    /** First node this NI serves (== nodeId() when concentration 1). */
-    NodeId baseNodeId() const { return baseNode; }
-
     /** True when `node` attaches to this NI's router. */
     bool
     servesNode(NodeId node) const

@@ -93,8 +93,6 @@ class Simulator
      */
     void setFastForward(bool enabled) { ffEnabled = enabled; }
 
-    bool fastForwardEnabled() const { return ffEnabled; }
-
     /** Cycles skipped (not individually executed) by fast-forwarding. */
     std::uint64_t cyclesFastForwarded() const { return ffCycles; }
 

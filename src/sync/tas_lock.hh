@@ -33,8 +33,6 @@ class TasLock : public LockPrimitive
     void release(ThreadId t, DoneFn done) override;
     LockKind kind() const override { return LockKind::Tas; }
 
-    Addr lockAddr() const { return addr; }
-
   private:
     void readPhase(ThreadId t);
     void swapPhase(ThreadId t, bool force_exclusive = false);

@@ -5,19 +5,59 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/logging.hh"
+
 namespace inpg {
 
 namespace {
 
 const JsonValue kNullValue;
+const std::string kNoString;
+const JsonValue::Items kNoItems;
+const JsonValue::Members kNoMembers;
 
 } // namespace
+
+JsonValue::JsonValue(const JsonValue &o) : kind(o.kind), word(o.word)
+{
+    switch (kind) {
+      case Kind::String:
+        word.str = new std::string(*o.word.str);
+        break;
+      case Kind::Array:
+        word.arr = new Items(*o.word.arr);
+        break;
+      case Kind::Object:
+        word.obj = new Members(*o.word.obj);
+        break;
+      default:
+        break;
+    }
+}
+
+JsonValue::~JsonValue()
+{
+    switch (kind) {
+      case Kind::String:
+        delete word.str;
+        break;
+      case Kind::Array:
+        delete word.arr;
+        break;
+      case Kind::Object:
+        delete word.obj;
+        break;
+      default:
+        break;
+    }
+}
 
 JsonValue
 JsonValue::array()
 {
     JsonValue v;
     v.kind = Kind::Array;
+    v.word.arr = new Items();
     return v;
 }
 
@@ -26,6 +66,7 @@ JsonValue::object()
 {
     JsonValue v;
     v.kind = Kind::Object;
+    v.word.obj = new Members();
     return v;
 }
 
@@ -33,21 +74,24 @@ JsonValue &
 JsonValue::operator[](const std::string &key)
 {
     if (kind == Kind::Null)
-        kind = Kind::Object;
-    for (auto &kv : obj) {
+        *this = object();
+    INPG_ASSERT(kind == Kind::Object, "JSON member '%s' of a non-object",
+                key.c_str());
+    for (auto &kv : *word.obj) {
         if (kv.first == key)
             return kv.second;
     }
-    obj.emplace_back(key, JsonValue());
-    return obj.back().second;
+    word.obj->emplace_back(key, JsonValue());
+    return word.obj->back().second;
 }
 
 void
 JsonValue::push(JsonValue v)
 {
     if (kind == Kind::Null)
-        kind = Kind::Array;
-    arr.push_back(std::move(v));
+        *this = array();
+    INPG_ASSERT(kind == Kind::Array, "JSON push onto a non-array");
+    word.arr->push_back(std::move(v));
 }
 
 std::size_t
@@ -55,9 +99,9 @@ JsonValue::size() const
 {
     switch (kind) {
       case Kind::Array:
-        return arr.size();
+        return word.arr->size();
       case Kind::Object:
-        return obj.size();
+        return word.obj->size();
       default:
         return 0;
     }
@@ -68,7 +112,7 @@ JsonValue::find(const std::string &key) const
 {
     if (kind != Kind::Object)
         return nullptr;
-    for (const auto &kv : obj) {
+    for (const auto &kv : *word.obj) {
         if (kv.first == key)
             return &kv.second;
     }
@@ -85,9 +129,27 @@ JsonValue::at(const std::string &key) const
 const JsonValue &
 JsonValue::item(std::size_t i) const
 {
-    if (kind != Kind::Array || i >= arr.size())
+    if (kind != Kind::Array || i >= word.arr->size())
         return kNullValue;
-    return arr[i];
+    return (*word.arr)[i];
+}
+
+const std::string &
+JsonValue::asString() const
+{
+    return kind == Kind::String ? *word.str : kNoString;
+}
+
+const JsonValue::Members &
+JsonValue::members() const
+{
+    return kind == Kind::Object ? *word.obj : kNoMembers;
+}
+
+const JsonValue::Items &
+JsonValue::items() const
+{
+    return kind == Kind::Array ? *word.arr : kNoItems;
 }
 
 long long
@@ -95,11 +157,11 @@ JsonValue::asInt(long long dflt) const
 {
     switch (kind) {
       case Kind::Int:
-        return intVal;
+        return word.i;
       case Kind::Uint:
-        return static_cast<long long>(uintVal);
+        return static_cast<long long>(word.u);
       case Kind::Double:
-        return static_cast<long long>(doubleVal);
+        return static_cast<long long>(word.d);
       default:
         return dflt;
     }
@@ -110,12 +172,11 @@ JsonValue::asUint(std::uint64_t dflt) const
 {
     switch (kind) {
       case Kind::Uint:
-        return uintVal;
+        return word.u;
       case Kind::Int:
-        return intVal < 0 ? dflt : static_cast<std::uint64_t>(intVal);
+        return word.i < 0 ? dflt : static_cast<std::uint64_t>(word.i);
       case Kind::Double:
-        return doubleVal < 0 ? dflt
-                             : static_cast<std::uint64_t>(doubleVal);
+        return word.d < 0 ? dflt : static_cast<std::uint64_t>(word.d);
       default:
         return dflt;
     }
@@ -126,11 +187,11 @@ JsonValue::asDouble(double dflt) const
 {
     switch (kind) {
       case Kind::Int:
-        return static_cast<double>(intVal);
+        return static_cast<double>(word.i);
       case Kind::Uint:
-        return static_cast<double>(uintVal);
+        return static_cast<double>(word.u);
       case Kind::Double:
-        return doubleVal;
+        return word.d;
       default:
         return dflt;
     }
@@ -196,20 +257,20 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         out += "null";
         break;
       case Kind::Bool:
-        out += boolVal ? "true" : "false";
+        out += word.b ? "true" : "false";
         break;
       case Kind::Int:
-        std::snprintf(buf, sizeof(buf), "%lld", intVal);
+        std::snprintf(buf, sizeof(buf), "%lld", word.i);
         out += buf;
         break;
       case Kind::Uint:
         std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(uintVal));
+                      static_cast<unsigned long long>(word.u));
         out += buf;
         break;
       case Kind::Double:
-        if (std::isfinite(doubleVal)) {
-            std::snprintf(buf, sizeof(buf), "%.17g", doubleVal);
+        if (std::isfinite(word.d)) {
+            std::snprintf(buf, sizeof(buf), "%.17g", word.d);
             out += buf;
         } else {
             // JSON has no inf/nan; null keeps the document loadable.
@@ -218,10 +279,11 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         break;
       case Kind::String:
         out += '"';
-        out += escape(strVal);
+        out += escape(*word.str);
         out += '"';
         break;
-      case Kind::Array:
+      case Kind::Array: {
+        const Items &arr = *word.arr;
         out += '[';
         for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i)
@@ -233,7 +295,9 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
             newline(out, indent, depth);
         out += ']';
         break;
-      case Kind::Object:
+      }
+      case Kind::Object: {
+        const Members &obj = *word.obj;
         out += '{';
         for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i)
@@ -250,6 +314,7 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
             newline(out, indent, depth);
         out += '}';
         break;
+      }
     }
 }
 
@@ -264,7 +329,8 @@ JsonValue::dump(int indent) const
 namespace {
 
 /**
- * Recursive-descent reader over the byte range [pos, end). Kept
+ * Recursive-descent reader over the byte range [pos, end), at most
+ * JsonValue::MAX_PARSE_DEPTH arrays and objects deep. Kept
  * deliberately strict: the only producers are this file's writer and
  * python's json module, neither of which emits extensions.
  */
@@ -324,9 +390,22 @@ class JsonReader
         char c = text[pos];
         switch (c) {
           case '{':
-            return parseObject(out, err);
-          case '[':
-            return parseArray(out, err);
+          case '[': {
+            // The recursion is bounded so that no input can exhaust
+            // the stack; the writer nests at most a few levels.
+            if (depth == JsonValue::MAX_PARSE_DEPTH) {
+                const std::string what =
+                    "nesting deeper than " +
+                    std::to_string(JsonValue::MAX_PARSE_DEPTH) + " levels";
+                fail(err, what.c_str());
+                return false;
+            }
+            ++depth;
+            const bool ok =
+                c == '{' ? parseObject(out, err) : parseArray(out, err);
+            --depth;
+            return ok;
+          }
           case '"': {
             std::string s;
             if (!parseString(s, err))
@@ -585,6 +664,7 @@ class JsonReader
 
     const std::string &text;
     std::size_t pos = 0;
+    int depth = 0; // arrays and objects open at pos
 };
 
 } // namespace

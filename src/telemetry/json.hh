@@ -23,7 +23,12 @@
 
 namespace inpg {
 
-/** One JSON value (null / bool / number / string / array / object). */
+/**
+ * One JSON value (null / bool / number / string / array / object), 16
+ * bytes: a kind tag and one 8-byte word. The word holds a bool or a
+ * number inline, or owns the heap string, element vector or member
+ * vector. Copies are deep; a moved-from value is Null.
+ */
 class JsonValue
 {
   public:
@@ -38,14 +43,37 @@ class JsonValue
         Object,
     };
 
-    JsonValue() : kind(Kind::Null) {}
-    JsonValue(bool v) : kind(Kind::Bool), boolVal(v) {}
-    JsonValue(int v) : kind(Kind::Int), intVal(v) {}
-    JsonValue(long long v) : kind(Kind::Int), intVal(v) {}
-    JsonValue(std::uint64_t v) : kind(Kind::Uint), uintVal(v) {}
-    JsonValue(double v) : kind(Kind::Double), doubleVal(v) {}
-    JsonValue(const char *v) : kind(Kind::String), strVal(v) {}
-    JsonValue(std::string v) : kind(Kind::String), strVal(std::move(v)) {}
+    using Items = std::vector<JsonValue>;
+    using Members = std::vector<std::pair<std::string, JsonValue>>;
+
+    JsonValue() : kind(Kind::Null) { word.u = 0; }
+    JsonValue(bool v) : kind(Kind::Bool) { word.b = v; }
+    JsonValue(int v) : kind(Kind::Int) { word.i = v; }
+    JsonValue(long long v) : kind(Kind::Int) { word.i = v; }
+    JsonValue(std::uint64_t v) : kind(Kind::Uint) { word.u = v; }
+    JsonValue(double v) : kind(Kind::Double) { word.d = v; }
+    JsonValue(const char *v) : JsonValue(std::string(v)) {}
+    JsonValue(std::string v) : kind(Kind::String)
+    {
+        word.str = new std::string(std::move(v));
+    }
+
+    JsonValue(const JsonValue &o);
+
+    JsonValue(JsonValue &&o) noexcept : kind(o.kind), word(o.word)
+    {
+        o.kind = Kind::Null;
+    }
+
+    /** Copy or move assignment; copy-and-swap makes self-assignment safe. */
+    JsonValue &operator=(JsonValue o) noexcept
+    {
+        std::swap(kind, o.kind);
+        std::swap(word, o.word);
+        return *this;
+    }
+
+    ~JsonValue();
 
     /** Empty array value. */
     static JsonValue array();
@@ -57,33 +85,30 @@ class JsonValue
      * Parse one JSON document. On failure returns a Null value and,
      * when @p err is non-null, stores a one-line diagnostic with the
      * byte offset of the problem. Trailing whitespace is permitted;
-     * trailing garbage is an error.
+     * trailing garbage is an error, and so is nesting deeper than
+     * MAX_PARSE_DEPTH arrays and objects.
      */
     static JsonValue parse(const std::string &text,
                            std::string *err = nullptr);
 
+    /** Deepest array/object nesting parse() accepts. */
+    static constexpr int MAX_PARSE_DEPTH = 256;
+
     Kind type() const { return kind; }
 
     bool isNull() const { return kind == Kind::Null; }
-    bool isBool() const { return kind == Kind::Bool; }
-    bool isString() const { return kind == Kind::String; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isObject() const { return kind == Kind::Object; }
-
-    /** True for Int / Uint / Double. */
-    bool isNumber() const
-    {
-        return kind == Kind::Int || kind == Kind::Uint ||
-               kind == Kind::Double;
-    }
 
     /**
      * Member access on an object (created on first use); converts a
      * Null value into an object, so `doc["a"]["b"] = 1` just works.
+     * Any other kind is a caller bug and panics.
      */
     JsonValue &operator[](const std::string &key);
 
-    /** Append to an array (converts a Null value into an array). */
+    /**
+     * Append to an array (converts a Null value into an array; any
+     * other non-array kind panics).
+     */
     void push(JsonValue v);
 
     std::size_t size() const;
@@ -109,7 +134,7 @@ class JsonValue
 
     bool asBool(bool dflt = false) const
     {
-        return kind == Kind::Bool ? boolVal : dflt;
+        return kind == Kind::Bool ? word.b : dflt;
     }
 
     long long asInt(long long dflt = 0) const;
@@ -118,16 +143,14 @@ class JsonValue
 
     double asDouble(double dflt = 0.0) const;
 
-    const std::string &asString() const { return strVal; }
+    /** The string (empty unless a string). */
+    const std::string &asString() const;
 
     /** Object members in insertion order (empty unless an object). */
-    const std::vector<std::pair<std::string, JsonValue>> &members() const
-    {
-        return obj;
-    }
+    const Members &members() const;
 
     /** Array elements (empty unless an array). */
-    const std::vector<JsonValue> &items() const { return arr; }
+    const Items &items() const;
 
     /** Serialize; indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
@@ -138,15 +161,23 @@ class JsonValue
   private:
     void dumpTo(std::string &out, int indent, int depth) const;
 
+    /** The one payload word; `kind` names the live member. */
+    union Word {
+        bool b;
+        long long i;
+        std::uint64_t u;
+        double d;
+        std::string *str;
+        Items *arr;
+        Members *obj;
+    };
+
     Kind kind;
-    bool boolVal = false;
-    long long intVal = 0;
-    std::uint64_t uintVal = 0;
-    double doubleVal = 0;
-    std::string strVal;
-    std::vector<JsonValue> arr;
-    std::vector<std::pair<std::string, JsonValue>> obj;
+    Word word;
 };
+
+static_assert(sizeof(JsonValue) == 16,
+              "JsonValue is a kind tag plus one 8-byte word");
 
 } // namespace inpg
 

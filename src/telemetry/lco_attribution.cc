@@ -86,7 +86,7 @@ LcoTracker::acquireEnd(ThreadId t, Cycle now)
     if (st.rec.sawEarlyInv)
         total.acquiresWithEarlyInv += 1;
 
-    if (kept.size() < recordCap)
+    if (kept.size() < RECORD_CAP)
         kept.push_back(st.rec);
 }
 

@@ -123,9 +123,6 @@ class LcoTracker
     /** Retained individual records (capped; aggregation never caps). */
     const std::vector<LcoAcquireRecord> &records() const { return kept; }
 
-    /** Per-record retention cap; 0 keeps aggregates only. */
-    void setRecordCap(std::size_t cap) { recordCap = cap; }
-
   private:
     struct CoreState {
         bool active = false;
@@ -146,7 +143,7 @@ class LcoTracker
     std::vector<CoreState> cores;
     LcoSummary total;
     std::vector<LcoAcquireRecord> kept;
-    std::size_t recordCap = 65536;
+    static constexpr std::size_t RECORD_CAP = 65536;
 };
 
 } // namespace inpg

@@ -131,15 +131,14 @@ TEST(Histogram, BinsAndOverflow)
     EXPECT_EQ(h.min(), 0u);
 }
 
-TEST(Histogram, MeanAndReset)
+TEST(Histogram, MeanOfEmptyAndFilled)
 {
     Histogram h(5, 10);
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
     h.add(10);
     h.add(20);
     EXPECT_DOUBLE_EQ(h.mean(), 15.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 TEST(Histogram, PercentileAtBinGranularity)

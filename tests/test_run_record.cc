@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -120,6 +122,157 @@ TEST(JsonReader, RejectsMalformedInput)
         JsonValue v = JsonValue::parse(text, &err);
         EXPECT_TRUE(v.isNull()) << text;
         EXPECT_FALSE(err.empty()) << text;
+    }
+
+    // Nesting is capped, so deep input is refused with its offset
+    // instead of overflowing the reader's stack.
+    const std::size_t cap = JsonValue::MAX_PARSE_DEPTH;
+    const std::string deepest =
+        std::string(cap, '[') + std::string(cap, ']');
+    std::string err;
+    EXPECT_FALSE(JsonValue::parse(deepest, &err).isNull());
+    EXPECT_TRUE(err.empty()) << err;
+    for (std::size_t depth : {cap + 1, std::size_t{200000}}) {
+        const std::string deep =
+            std::string(depth, '[') + std::string(depth, ']');
+        JsonValue v = JsonValue::parse(deep, &err);
+        EXPECT_TRUE(v.isNull()) << depth;
+        EXPECT_NE(err.find("nesting deeper than " + std::to_string(cap) +
+                           " levels at offset " + std::to_string(cap)),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(JsonValue, CopiesAreDeepAndMovesLeaveNull)
+{
+    JsonValue doc = JsonValue::object();
+    doc["s"] = "text";
+    doc["a"].push(JsonValue(1));
+    doc["o"]["k"] = 2.5;
+
+    JsonValue copy = doc;
+    copy["s"] = "changed";
+    copy["a"].push(JsonValue(2));
+    copy["o"]["k"] = JsonValue(true);
+    EXPECT_EQ(doc.dump(),
+              "{\"s\":\"text\",\"a\":[1],\"o\":{\"k\":2.5}}");
+    EXPECT_EQ(copy.dump(),
+              "{\"s\":\"changed\",\"a\":[1,2],\"o\":{\"k\":true}}");
+
+    JsonValue assigned;
+    assigned = doc;
+    EXPECT_EQ(assigned.dump(), doc.dump());
+
+    const std::string text = doc.dump();
+    JsonValue moved = std::move(doc);
+    EXPECT_EQ(moved.dump(), text);
+    EXPECT_TRUE(doc.isNull()); // NOLINT(bugprone-use-after-move)
+    JsonValue moveAssigned = JsonValue("old");
+    moveAssigned = std::move(moved);
+    EXPECT_EQ(moveAssigned.dump(), text);
+    EXPECT_TRUE(moved.isNull()); // NOLINT(bugprone-use-after-move)
+}
+
+TEST(JsonValue, SelfAssignmentKeepsTheValue)
+{
+    JsonValue v = JsonValue::object();
+    v["a"].push(JsonValue("x"));
+    const std::string text = v.dump();
+    JsonValue &alias = v;
+    v = alias;
+    EXPECT_EQ(v.dump(), text);
+    v = std::move(alias);
+    EXPECT_EQ(v.dump(), text);
+
+    JsonValue s = JsonValue("str");
+    JsonValue &sAlias = s;
+    s = sAlias;
+    s = std::move(sAlias);
+    EXPECT_EQ(s.asString(), "str");
+}
+
+TEST(JsonValue, AccessorsOfOtherKindsReadEmpty)
+{
+    const JsonValue values[] = {
+        JsonValue(),           JsonValue(true),
+        JsonValue(-1),         JsonValue(std::uint64_t{1}),
+        JsonValue(0.5),        JsonValue("s"),
+        JsonValue::array(),    JsonValue::object(),
+    };
+    for (const JsonValue &v : values) {
+        const JsonValue::Kind k = v.type();
+        if (k != JsonValue::Kind::Object) {
+            EXPECT_TRUE(v.members().empty()) << v.dump();
+            EXPECT_EQ(v.find("k"), nullptr) << v.dump();
+            EXPECT_TRUE(v.at("k").isNull()) << v.dump();
+        }
+        if (k != JsonValue::Kind::Array) {
+            EXPECT_TRUE(v.items().empty()) << v.dump();
+            EXPECT_TRUE(v.item(0).isNull()) << v.dump();
+        }
+        if (k != JsonValue::Kind::String) {
+            EXPECT_TRUE(v.asString().empty()) << v.dump();
+        }
+    }
+}
+
+TEST(JsonValueDeathTest, MemberOrPushOnAnotherKindPanics)
+{
+    EXPECT_DEATH(
+        {
+            JsonValue n(1);
+            n["k"] = 2;
+        },
+        "non-object");
+    EXPECT_DEATH(
+        {
+            JsonValue o = JsonValue::object();
+            o.push(JsonValue(2));
+        },
+        "non-array");
+}
+
+TEST(JsonReader, MutatedLedgerRecordParsesOrIsRefused)
+{
+    // One committed ledger record, truncated and with single bytes
+    // replaced at seeded offsets: every mutant either parses (and then
+    // round-trips) or comes back Null with a diagnostic.
+    std::ifstream in(INPG_TEST_GOLDEN_DIR
+                     "/../../sweeps/BASELINE_ledger.jsonl");
+    std::string record;
+    ASSERT_TRUE(std::getline(in, record));
+    std::string err;
+    ASSERT_FALSE(JsonValue::parse(record, &err).isNull()) << err;
+
+    const auto check = [](const std::string &text) {
+        std::string diag;
+        const JsonValue v = JsonValue::parse(text, &diag);
+        if (diag.empty()) {
+            const std::string out = v.dump();
+            EXPECT_EQ(JsonValue::parse(out).dump(), out);
+        } else {
+            EXPECT_TRUE(v.isNull()) << diag;
+        }
+        return diag.empty();
+    };
+
+    std::mt19937 rng(20180224);
+    std::uniform_int_distribution<std::size_t> offset(0,
+                                                      record.size() - 1);
+    std::size_t refused = 0;
+    for (int i = 0; i < 200; ++i)
+        refused += !check(record.substr(0, offset(rng)));
+    EXPECT_EQ(refused, 200u); // no proper prefix is a whole document
+
+    const char subs[] = {'"', '{', '}', '[', ']', ',', ':', '0',
+                         '-', 'e', '\\', ' ', 'x', '\0'};
+    for (char c : subs) {
+        for (int i = 0; i < 24; ++i) {
+            std::string mutant = record;
+            mutant[offset(rng)] = c;
+            check(mutant);
+        }
     }
 }
 

@@ -313,14 +313,17 @@ TEST(Json, BuilderEmitsValidDocuments)
     doc["str"] = "a\"b\\c\n\t";
     doc["bool"] = true;
     doc["null"];
-    doc["arr"].push(1);
+    doc["arr"].push(1); // push makes a Null member an array
     doc["arr"].push("two");
-    doc["nested"]["x"] = 0.5;
+    doc["nested"]["x"] = 0.5; // [] makes a Null member an object
+    doc["empty_arr"] = JsonValue::array();
+    doc["empty_obj"] = JsonValue::object();
     EXPECT_EQ(doc.dump(),
               "{\"int\":-3,\"uint\":1099511627776,"
               "\"str\":\"a\\\"b\\\\c\\n\\t\",\"bool\":true,"
               "\"null\":null,\"arr\":[1,\"two\"],"
-              "\"nested\":{\"x\":0.5}}");
+              "\"nested\":{\"x\":0.5},\"empty_arr\":[],"
+              "\"empty_obj\":{}}");
 }
 
 TEST(KernelProfile, RecordsCyclesAndFastForwardSkips)
