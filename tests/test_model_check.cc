@@ -6,16 +6,17 @@
  * self-test, and a golden-file check that pins the counterexample
  * witness format.
  *
- * The golden trace lives in tests/golden/; regenerate it after a
- * deliberate format change with
+ * The golden trace and the exploration summary live in tests/golden/;
+ * regenerate them after a deliberate change with
  *     INPG_REGEN_GOLDEN=1 ./build/tests/inpg_tests \
- *         --gtest_filter=ModelCheck.GoldenWitness
+ *         --gtest_filter='ModelCheck.Golden*:ModelCheck.Exploration*'
  * and review the diff like any other source change.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "golden.hh"
 #include "verify/model_check.hh"
@@ -111,6 +112,71 @@ TEST(ModelCheck, GoldenWitness)
     ASSERT_FALSE(got.empty());
 
     expectMatchesGolden("mc_witness_ownedself_getx.txt", got);
+}
+
+/** "(state,event)" names of the rows set in a rowsReached bitmask. */
+std::string
+rowList(const ProtoTableBase &t, std::uint64_t bits, bool reached)
+{
+    std::string out;
+    for (int s = 0; s < t.numStates(); ++s)
+        for (int e = 0; e < t.numEvents(); ++e) {
+            const ProtoTransition *row = t.find(s, e);
+            const bool hit = (bits >> (s * t.numEvents() + e)) & 1;
+            if (!row || !row->legal() || hit != reached)
+                continue;
+            out += std::string(" (") + t.stateName(s) + "," +
+                   t.eventName(e) + ")";
+        }
+    return out;
+}
+
+TEST(ModelCheck, ExplorationMatchesGolden)
+{
+    // Pins what the checker explores: every scenario at N=2 with the
+    // big router on and off plus N=3 without it. A moved count means
+    // the checker now runs a different protocol; each such move is a
+    // named drift, regenerated deliberately.
+    struct Run {
+        McScenario sc;
+        int cores;
+        bool br;
+    };
+    std::vector<Run> runs;
+    for (McScenario sc : mcAllScenarios())
+        for (bool br : {false, true})
+            runs.push_back({sc, 2, br});
+    for (McScenario sc : mcAllScenarios())
+        runs.push_back({sc, 3, false});
+
+    std::string got;
+    std::array<std::uint64_t, PROTO_NUM_TABLES> all{};
+    for (const Run &run : runs) {
+        McConfig cfg = baseConfig(run.sc, run.br);
+        cfg.numCores = run.cores;
+        const McResult r = runModelCheck(cfg);
+        ASSERT_TRUE(r.ok()) << r.violation->traceText();
+        EXPECT_TRUE(r.complete);
+        EXPECT_EQ(r.emitsDropped, 0u);
+        got += std::string(mcScenarioName(run.sc)) +
+               " cores=" + std::to_string(run.cores) +
+               " big-router=" + std::to_string(run.br) +
+               ": states=" + std::to_string(r.statesVisited) +
+               " transitions=" + std::to_string(r.transitions) +
+               " final=" + std::to_string(r.finalStates) +
+               " depth=" + std::to_string(r.maxDepth) + "\n";
+        for (int t = 0; t < PROTO_NUM_TABLES; ++t) {
+            all[t] |= r.rowsReached[t];
+            got += std::string("  ") + protocolTable(t).name() + ":" +
+                   rowList(protocolTable(t), r.rowsReached[t], true) +
+                   "\n";
+        }
+    }
+    got += "legal rows no run dispatches:\n";
+    for (int t = 0; t < PROTO_NUM_TABLES; ++t)
+        got += std::string("  ") + protocolTable(t).name() + ":" +
+               rowList(protocolTable(t), all[t], false) + "\n";
+    expectMatchesGolden("mc_exploration.txt", got);
 }
 
 } // namespace
