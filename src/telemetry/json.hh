@@ -106,6 +106,13 @@ class JsonValue
     JsonValue &operator[](const std::string &key);
 
     /**
+     * Add a member without looking the key up (converts a Null value
+     * into an object): O(1), for builders whose keys are distinct by
+     * construction. A repeated key would make the object malformed.
+     */
+    JsonValue &append(std::string key, JsonValue v);
+
+    /**
      * Append to an array (converts a Null value into an array; any
      * other non-array kind panics).
      */

@@ -355,6 +355,19 @@ TEST(Stats, DeclaringANameTwiceIsFatal)
     EXPECT_DEATH({ Twice t; }, "stat 'x' declared twice");
 }
 
+TEST(Stats, RegisteringANameTwiceIsFatal)
+{
+    struct One : StatGroup {
+        Counter a{*this, "a"};
+    } g;
+    StatsRegistry reg;
+    reg.addGroup("l1.0", &g);
+    reg.addScalar("l1.0", [] { return 1.0; }); // another section: fine
+    EXPECT_DEATH(reg.addGroup("l1.0", &g), "group 'l1.0' registered twice");
+    EXPECT_DEATH(reg.addScalar("l1.0", [] { return 2.0; }),
+                 "scalar 'l1.0' registered twice");
+}
+
 TEST(Logging, FatalThrowsPanicKillsNot)
 {
     EXPECT_THROW(fatal("bad user input %d", 1), FatalError);

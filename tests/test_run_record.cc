@@ -116,6 +116,7 @@ TEST(JsonReader, RejectsMalformedInput)
         "{\"a\" 1}",       // missing colon
         "01",              // leading zero
         "",                // empty document
+        "{\"a\":1,\"a\":2}", // duplicate key
     };
     for (const char *text : bad) {
         std::string err;
@@ -124,12 +125,25 @@ TEST(JsonReader, RejectsMalformedInput)
         EXPECT_FALSE(err.empty()) << text;
     }
 
+    // A repeated key is refused where it is read, in small and in
+    // large objects alike, instead of overwriting the first member.
+    std::string err;
+    JsonValue::parse("{\"x\":1, \"x\":2}", &err);
+    EXPECT_EQ(err, "duplicate key \"x\" at offset 11");
+    std::string big = "{";
+    for (int i = 0; i < 100; ++i)
+        big += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+    EXPECT_TRUE(JsonValue::parse(big + "\"k99\":0}", &err).isNull());
+    EXPECT_EQ(err, "duplicate key \"k99\" at offset " +
+                       std::to_string(big.size() + 5));
+    EXPECT_EQ(JsonValue::parse(big + "\"k100\":0}", &err).size(), 101u);
+    EXPECT_TRUE(err.empty()) << err;
+
     // Nesting is capped, so deep input is refused with its offset
     // instead of overflowing the reader's stack.
     const std::size_t cap = JsonValue::MAX_PARSE_DEPTH;
     const std::string deepest =
         std::string(cap, '[') + std::string(cap, ']');
-    std::string err;
     EXPECT_FALSE(JsonValue::parse(deepest, &err).isNull());
     EXPECT_TRUE(err.empty()) << err;
     for (std::size_t depth : {cap + 1, std::size_t{200000}}) {
