@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Determinism lint for the iNPG simulator sources (DESIGN.md Section 8).
 
-Rules (numbered as DESIGN.md invariants 10-19):
+Rules (numbered as DESIGN.md invariants 10-20):
 
   unordered-iteration  (inv. 10)
       No range-for over std::unordered_map / std::unordered_set in the
@@ -84,6 +84,13 @@ Rules (numbered as DESIGN.md invariants 10-19):
       (string literals are exactly the evidence), so the historical
       Chrome-trace writer carries per-line lint:allow markers.
 
+  action-dispatch-outside-actions (inv. 20)
+      No `case L1Action::`, `case DirAction::` or `case BrAction::`
+      outside src/coh/protocol_actions.{hh,cc}. Each table row's
+      action has one body, there; the controllers and the model
+      checker both call it. A switch on the action anywhere else is a
+      second copy of the protocol that the checker does not explore.
+
 A finding is suppressed by an end-of-line marker naming its rule:
 
     auto t0 = std::chrono::steady_clock::now();  // lint:allow(nondeterminism)
@@ -164,6 +171,13 @@ TABLE_ROW_RE = re.compile(
 # The one verified home for row construction, plus the header that
 # defines the table types themselves.
 TABLE_OK_PREFIXES = ("src/coh/protocol_tables", "src/coh/transition_table")
+
+
+# Dispatch on a row's action: the one place that may branch on it is
+# the shared actions file, which both the controllers and the model
+# checker run.
+ACTION_DISPATCH_RE = re.compile(r"\bcase\s+(?:L1|Dir|Br)Action\s*::")
+ACTION_OK_PREFIXES = ("src/coh/protocol_actions.",)
 
 
 # Hand-formatted JSON emission: an escaped-quoted key followed by a
@@ -420,6 +434,25 @@ def check_table_row_construction(files):
     return findings
 
 
+def check_action_dispatch(files):
+    findings = []
+    for path, text in files:
+        if path.as_posix().startswith(ACTION_OK_PREFIXES):
+            continue
+        lines = text.splitlines()
+        for m in ACTION_DISPATCH_RE.finditer(text):
+            ln = line_of(text, m.start())
+            if allowed(lines, ln, "action-dispatch-outside-actions"):
+                continue
+            findings.append(Finding(
+                "action-dispatch-outside-actions", path, ln,
+                "'%s': a row's action has one body, in "
+                "src/coh/protocol_actions.{hh,cc}; call l1Act/dirAct/"
+                "brAct instead of switching on the action"
+                % m.group(0).strip()))
+    return findings
+
+
 def check_adhoc_json(raw_files):
     """Operates on RAW text (gather with strip=False): strip_comments
     blanks string literals, which are this rule's evidence."""
@@ -472,6 +505,7 @@ def run_lint(root):
     findings += check_threading_scope(all_files)
     findings += check_coordinate_arithmetic(all_files)
     findings += check_table_row_construction(all_files)
+    findings += check_action_dispatch(all_files)
     findings += check_adhoc_json(gather(root, ALL_SRC, strip=False))
     findings.sort(key=lambda f: (str(f.path), f.line))
     return findings
@@ -647,6 +681,29 @@ def run_self_test():
         print("lint_inpg --self-test: ok: lint:allow exempts a "
               "deliberate withRows rebuild")
 
+    # A switch on a row's action is a finding in the model checker
+    # (it would re-code the action) and legal in the shared actions.
+    verify = [(Path("src/verify/model_check.cc"), strip_comments(
+        "switch (a) {\n  case DirAction::TrimSharer:\n    break;\n}\n"))]
+    if check_action_dispatch(verify):
+        print("lint_inpg --self-test: ok: rule "
+              "action-dispatch-outside-actions fires on a case "
+              "DirAction:: in src/verify/")
+    else:
+        print("lint_inpg --self-test: MISSED: rule "
+              "action-dispatch-outside-actions fires on a case "
+              "DirAction:: in src/verify/")
+        failures.add("action-dispatch-outside-actions")
+    actions_home = [(Path("src/coh/protocol_actions.hh"), strip_comments(
+        "switch (a) {\n  case DirAction::TrimSharer:\n    break;\n}\n"))]
+    if check_action_dispatch(actions_home):
+        print("lint_inpg --self-test: MISSED: "
+              "src/coh/protocol_actions.* is exempt")
+        failures.add("action-dispatch-scope")
+    else:
+        print("lint_inpg --self-test: ok: src/coh/protocol_actions.* is "
+              "exempt")
+
     # Ad-hoc JSON emission fires on RAW text (the string literal is
     # the evidence) ...
     bad_json = [(Path("src/harness/bad_json.cc"), SELF_TEST_BAD_JSON)]
@@ -721,7 +778,7 @@ def main():
          "shared-ptr-flit", "node-container-noc",
          "unbounded-recording", "threading-outside-parallel",
          "coordinate-arithmetic", "table-row-outside-tables",
-         "ad-hoc-json")))
+         "action-dispatch-outside-actions", "ad-hoc-json")))
     return 0
 
 
