@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "coh/l1_controller.hh"
+#include "coh/protocol_actions.hh"
 #include "common/types.hh"
 
 namespace inpg {
@@ -45,9 +45,6 @@ class GoldenMemory
 
     /** Number of recorded operations. */
     std::size_t size() const { return log.size(); }
-
-    /** All records involving an address, in completion order. */
-    std::vector<OpRecord> recordsFor(Addr addr) const;
 
     const std::vector<OpRecord> &records() const { return log; }
 
