@@ -262,6 +262,25 @@ TEST(Determinism, GoldenTorus4x4InpgTas)
                       "ferret", 0.1));
 }
 
+TEST(Determinism, GoldenMesh6x3Tas)
+{
+    // A non-square grid: a route decision that swaps the column and
+    // row index moves this run, while every square grid stays put.
+    expectMatchesGolden(
+        "run_mesh6x3_tas.txt",
+        goldenRunText("topology=mesh:6x3 lock=tas", "ferret", 0.1));
+}
+
+TEST(Determinism, GoldenTorus5x4InpgTas)
+{
+    // Non-square torus with big routers: dateline classes on rings of
+    // two different lengths, one of them odd.
+    expectMatchesGolden(
+        "run_torus5x4_inpg_tas.txt",
+        goldenRunText("topology=torus:5x4 mechanism=inpg lock=tas",
+                      "ferret", 0.1));
+}
+
 TEST(Determinism, GoldenCmesh4x4x4Tas)
 {
     // Four cores per router: NI fan-in over a 16-router grid.
