@@ -84,11 +84,7 @@ LockBarrierTable::addEi(Addr addr, CoreId core, Cycle now)
     for (const auto &e : b->eis)
         if (e.core == core)
             return false;
-    EiEntry e;
-    e.core = core;
-    e.phase = EiPhase::GetXFwd; // Inv generated + GetX forwarded at ST
-    e.openedAt = now;
-    b->eis.push_back(e);
+    b->eis.push_back({core, now});
     ++stats.eisOpened;
     return true;
 }
@@ -159,22 +155,6 @@ LockBarrierTable::numEis(Addr addr) const
     return slot ? barriers[*slot].eis.size() : 0;
 }
 
-const char *
-eiPhaseName(EiPhase p)
-{
-    switch (p) {
-      case EiPhase::InvGenerated:
-        return "inv-generated";
-      case EiPhase::GetXFwd:
-        return "getx-fwd";
-      case EiPhase::InvAckRecv:
-        return "invack-recv";
-      case EiPhase::AckFwd:
-        return "ack-fwd";
-    }
-    return "?";
-}
-
 JsonValue
 LockBarrierTable::debugJson(Cycle now) const
 {
@@ -190,7 +170,6 @@ LockBarrierTable::debugJson(Cycle now) const
         for (const EiEntry &ei : b.eis) {
             JsonValue ej = JsonValue::object();
             ej["core"] = static_cast<long long>(ei.core);
-            ej["phase"] = eiPhaseName(ei.phase);
             ej["age"] = static_cast<std::uint64_t>(now - ei.openedAt);
             eis.push(std::move(ej));
         }

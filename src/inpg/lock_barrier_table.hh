@@ -3,11 +3,11 @@
  * Locking barrier table of a big router (paper Section 4.1, Figure 6).
  *
  * Each barrier tracks one lock address. Under a barrier, one early
- * invalidation (EI) entry exists per stopped GetX and walks four
- * phases: Inv generated, GetX forwarded, InvAck received, InvAck
- * forwarded. A barrier's TTL (default 128 cycles) counts down only
- * while the barrier has no EI entries and resets whenever one is
- * created; at zero the barrier is reclaimed.
+ * invalidation (EI) entry exists per stopped GetX, from the ST cycle
+ * that generates its Inv and forwards the GetX until the InvAck for
+ * that Inv is relayed home. A barrier's TTL (default 128 cycles)
+ * counts down only while the barrier has no EI entries and resets
+ * whenever one is created; at zero the barrier is reclaimed.
  */
 
 #ifndef INPG_INPG_LOCK_BARRIER_TABLE_HH
@@ -22,17 +22,6 @@
 #include "telemetry/json.hh"
 
 namespace inpg {
-
-/** Lifecycle phase of an early-invalidation entry. */
-enum class EiPhase {
-    InvGenerated, ///< early Inv sent to the failing core
-    GetXFwd,      ///< the stopped GetX was forwarded to the home node
-    InvAckRecv,   ///< InvAck for the early Inv returned to this router
-    AckFwd,       ///< InvAck relayed to the home node (entry frees)
-};
-
-/** Name of an EiPhase ("inv-generated", ...). */
-const char *eiPhaseName(EiPhase p);
 
 /** A lock barrier table's statistics (snapshot group `inpg.table.N`). */
 struct BarrierTableStats : StatGroup {
@@ -67,16 +56,16 @@ class LockBarrierTable
     bool createBarrier(Addr addr, Cycle now);
 
     /**
-     * Open an EI entry for a stopped GetX (phases InvGenerated+GetXFwd
-     * happen in the same ST cycle in this design).
+     * Open an EI entry for a stopped GetX: its early Inv is generated
+     * and the GetX forwarded home in the same ST cycle.
      * @return false when the barrier is missing or its EI list is full.
      */
     bool addEi(Addr addr, CoreId core, Cycle now);
 
     /**
-     * Advance the EI entry of (addr, core) to InvAckRecv + AckFwd and
-     * free it; restarts the barrier's TTL countdown when it was the
-     * last live entry.
+     * Free the EI entry of (addr, core) when the InvAck for its early
+     * Inv arrives and is relayed home; restarts the barrier's TTL
+     * countdown when it was the last live entry.
      * @return false when no such EI entry exists (stale ack).
      */
     bool completeEi(Addr addr, CoreId core, Cycle now);
@@ -110,7 +99,7 @@ class LockBarrierTable
 
     /**
      * Table contents for the hang report: every barrier with its EI
-     * entries (core, phase, age), in slot order (deterministic).
+     * entries (core, age), in slot order (deterministic).
      */
     JsonValue debugJson(Cycle now) const;
 
@@ -119,7 +108,6 @@ class LockBarrierTable
   private:
     struct EiEntry {
         CoreId core = INVALID_CORE;
-        EiPhase phase = EiPhase::InvGenerated;
         Cycle openedAt = 0;
     };
 
