@@ -9,16 +9,14 @@ BigRouter::BigRouter(NodeId node_id, const NocConfig &noc_cfg,
                      const RoutingAlgorithm *routing,
                      const Simulator &simulator, const InpgConfig &inpg_cfg,
                      const CohConfig &coh_cfg)
-    : Router(node_id, noc_cfg, routing),
+    : Router(node_id, noc_cfg, routing, NUM_PORTS + 1),
       brNode(node_id * noc_cfg.concentration), sim(simulator),
       gen(brNode, inpg_cfg, coh_cfg), cohCfg(coh_cfg),
       // Generated packets need ids that cannot collide with the
       // Network's allocator; tag them with the node in the top bits.
       nextGenPacketId((static_cast<PacketId>(node_id) << 40) |
                       (1ULL << 63))
-{
-    addGeneratorPort();
-}
+{}
 
 void
 BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)

@@ -53,8 +53,6 @@ class Network
 
     const NocConfig &config() const { return cfg; }
     const Topology &topology() const { return *topo; }
-    const MeshShape &shape() const { return topo->routerGrid(); }
-    const RoutingAlgorithm &routing() const { return *routingAlgo; }
 
     /** Router by router id (0 .. numRouters() - 1). */
     Router &router(NodeId id);

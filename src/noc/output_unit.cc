@@ -6,6 +6,10 @@
 
 namespace inpg {
 
+static_assert(sizeof(OutputUnit) <= 104,
+              "byte-wide credits keep each of a router's five output "
+              "units under two cache lines");
+
 OutputUnit::OutputUnit(int num_vcs, int vc_depth)
     : vcs(num_vcs), depth(vc_depth)
 {
@@ -14,8 +18,10 @@ OutputUnit::OutputUnit(int num_vcs, int vc_depth)
                 vc_depth);
     INPG_ASSERT(num_vcs <= MAX_VCS, "busy mask holds at most %d VCs, got %d",
                 MAX_VCS, num_vcs);
+    INPG_ASSERT(vc_depth <= INT8_MAX, "credit counts are bytes, depth %d",
+                vc_depth);
     for (Credit &c : credit)
-        c.settled = vc_depth;
+        c.settled = static_cast<std::int8_t>(vc_depth);
 }
 
 void
@@ -52,7 +58,7 @@ OutputUnit::decrementCredit(VcId vc, Cycle now)
     checkVc(vc);
     if (landedAt + CREDIT_DELAY <= now)
         settle();
-    std::int32_t &c = credit[static_cast<std::size_t>(vc)].settled;
+    std::int8_t &c = credit[static_cast<std::size_t>(vc)].settled;
     INPG_ASSERT(c > 0, "credit underflow on VC %d", vc);
     --c;
 }

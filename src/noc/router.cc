@@ -23,11 +23,11 @@ filledArray(const Args &...args)
 } // namespace
 
 Router::Router(NodeId node_id, const NocConfig &config_in,
-               const RoutingAlgorithm *routing)
-    : id(node_id), cfg(config_in),
-      // Sized for every port the router can ever have (the generator
-      // port arrives after construction).
-      vcs(NUM_PORTS + 1, cfg.totalVcs(), cfg.vcDepth),
+               const RoutingAlgorithm *routing, int num_in_ports)
+    : id(node_id), cfg(config_in), routes(routing->routeTable(node_id)),
+      nInPorts(num_in_ports),
+      genPort(num_in_ports > NUM_PORTS ? NUM_PORTS : -1),
+      vcs(num_in_ports, cfg.totalVcs(), cfg.vcDepth),
       outputs(filledArray<OutputUnit, NUM_PORTS>(cfg.totalVcs(),
                                                  cfg.vcDepth)),
       saInportArb(filledArray<PriorityArbiter, VcStateArray::MAX_PORTS>(
@@ -35,28 +35,16 @@ Router::Router(NodeId node_id, const NocConfig &config_in,
       saOutportArb(filledArray<PriorityArbiter, NUM_PORTS>(
           std::size_t{VcStateArray::MAX_PORTS}, cfg.agingQuantum))
 {
-    INPG_ASSERT(routing != nullptr, "router %d needs a routing algorithm",
-                node_id);
-    routeTable = routing->buildTable(node_id, cfg.numNodes());
+    INPG_ASSERT(num_in_ports == NUM_PORTS || num_in_ports == NUM_PORTS + 1,
+                "router %d: %d input ports", node_id, num_in_ports);
     for (int p = 0; p < NUM_PORTS; ++p)
         inputs[static_cast<std::size_t>(p)].bindConsumer(this, &due, p);
-    nInPorts = NUM_PORTS;
 }
 
 void
 Router::connectOutput(Direction d, Channel &channel)
 {
     channel.connectProducer(this, &outputs[static_cast<std::size_t>(d)]);
-}
-
-int
-Router::addGeneratorPort()
-{
-    INPG_ASSERT(genPort < 0, "generator port already present");
-    // The VC block is already sized for this port (NUM_PORTS + 1).
-    genPort = nInPorts;
-    ++nInPorts;
-    return genPort;
 }
 
 void
@@ -224,8 +212,7 @@ Router::tryAllocateVc(int port, VcId v, Cycle now)
         const FlitPtr &front = vcs.front(s);
         INPG_ASSERT(isHeadFlit(front->type),
                     "non-head flit at front of idle VC %d", v);
-        const RouteEntry entry =
-            routeTable[static_cast<std::size_t>(front->packet->dst)];
+        const RouteEntry entry = routes.lookup(front->packet->dst);
         r.outPort = entry.dir;
         r.outClass = entry.vcClass;
         r.outVc = INVALID_VC;

@@ -54,12 +54,14 @@ class Router : public Ticking
 {
   public:
     /**
-     * @param node_id   mesh node this router serves
-     * @param cfg       shared NoC configuration (copied)
-     * @param routing   routing algorithm that fills the route table
+     * @param node_id      mesh node this router serves
+     * @param cfg          shared NoC configuration (copied)
+     * @param routing      routing algorithm that fills the route table
+     * @param num_in_ports NUM_PORTS, or NUM_PORTS + 1 for a router with
+     *                     the internal generator input port (BigRouter)
      */
     Router(NodeId node_id, const NocConfig &cfg,
-           const RoutingAlgorithm *routing);
+           const RoutingAlgorithm *routing, int num_in_ports = NUM_PORTS);
 
     ~Router() override = default;
 
@@ -147,12 +149,6 @@ class Router : public Ticking
     virtual Cycle nextTimedWork() const { return CYCLE_NEVER; }
 
     /**
-     * Enable the internal generator input port (BigRouter constructor).
-     * Returns its inport index.
-     */
-    int addGeneratorPort();
-
-    /**
      * Queue a locally generated packet for injection through the
      * generator port; it then competes in VA/SA like any other traffic.
      */
@@ -207,13 +203,19 @@ class Router : public Ticking
     NocConfig cfg;
 
     /**
-     * Destination-indexed route table (output port + dateline VC
-     * class), filled by the topology's routing algorithm at
-     * construction so route computation is one array index. iNPG
-     * destination rewrites happen in onHeadFlitArrived, before route
-     * computation, so a static table stays correct.
+     * Route decisions (output port + dateline VC class) per destination
+     * column and row, filled by the topology's routing algorithm at
+     * construction. iNPG destination rewrites happen in
+     * onHeadFlitArrived, before route computation, so a static table
+     * stays correct.
      */
-    std::vector<RouteEntry> routeTable;
+    RouteTable routes;
+
+    /** Input ports in use, including the generator port if present. */
+    int nInPorts;
+
+    /** Generator port index, or -1 when absent. */
+    int genPort;
 
     /** Input-VC state, buffers and candidate masks of every port. */
     VcStateArray vcs;
@@ -228,12 +230,6 @@ class Router : public Ticking
 
     /** Due-port masks of `inputs`, one per delivery slot. */
     DueMasks due{};
-
-    /** Input ports in use, including the generator port if present. */
-    int nInPorts = 0;
-
-    /** Generator port index, or -1 when absent. */
-    int genPort = -1;
 
     /** Generated packets waiting for a free generator-port VC. */
     RingBuffer<PacketPtr, 8> genQueue;

@@ -101,6 +101,35 @@ MeshShape::hopDistance(NodeId a, NodeId b) const
     return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
 }
 
+RoutingAlgorithm::RoutingAlgorithm(MeshShape router_grid, int concentration)
+    : shape(router_grid), conc(concentration)
+{
+    nodeCells.reserve(static_cast<std::size_t>(shape.numNodes() * conc));
+    for (NodeId r = 0; r < shape.numNodes(); ++r)
+        nodeCells.insert(nodeCells.end(), static_cast<std::size_t>(conc),
+                         shape.coordOf(r));
+}
+
+RouteTable
+RoutingAlgorithm::routeTable(NodeId here) const
+{
+    const Coord ch = shape.coordOf(here);
+    RouteTable t;
+    t.cells = nodeCells.data();
+    t.hereCol = ch.x;
+    t.rowBase = shape.width();
+    t.entries.reserve(
+        static_cast<std::size_t>(shape.width() + shape.height()));
+    // Each entry is the decision toward the first node of a
+    // representative router: the one in that column on this row, then
+    // the one in that row of this column.
+    for (int x = 0; x < shape.width(); ++x)
+        t.entries.push_back(routeEntry(here, shape.idOf({x, ch.y}) * conc));
+    for (int y = 0; y < shape.height(); ++y)
+        t.entries.push_back(routeEntry(here, shape.idOf({ch.x, y}) * conc));
+    return t;
+}
+
 RouteEntry
 XYRouting::routeEntry(NodeId here, NodeId dst) const
 {
@@ -119,9 +148,7 @@ XYRouting::routeEntry(NodeId here, NodeId dst) const
 
 TorusRouting::TorusRouting(MeshShape mesh_shape, bool escape_vcs,
                            int concentration)
-    : RoutingAlgorithm(concentration),
-      shape(mesh_shape),
-      escapeVcs(escape_vcs)
+    : RoutingAlgorithm(mesh_shape, concentration), escapeVcs(escape_vcs)
 {
     if (shape.width() < 3 || shape.height() < 3)
         fatal("torus needs at least a 3x3 router grid (%dx%d): smaller "

@@ -61,8 +61,7 @@ struct RouteEntry {
     }
 };
 
-static_assert(sizeof(RouteEntry) == 2,
-              "route tables hold one two-byte entry per destination");
+static_assert(sizeof(RouteEntry) == 2, "a route decision is two bytes");
 
 /** Short name ("L","N","E","S","W"). */
 std::string directionName(Direction d);
@@ -107,6 +106,41 @@ class MeshShape
 };
 
 /**
+ * One router's route decisions, split by dimension. Every algorithm
+ * here is dimension-order: while a destination's column differs from
+ * this router's, the route depends only on that column (the X hop);
+ * once aligned, only on the destination row (the Y hop or Local). So
+ * route computation reads the destination's router coordinates from
+ * the node map its RoutingAlgorithm shares with every router, then one
+ * of width + height entries: `entries[x]` for a column,
+ * `entries[width + y]` for a row of this column.
+ */
+class RouteTable
+{
+  public:
+    RouteEntry
+    lookup(NodeId dst) const
+    {
+        const Coord c = cells[static_cast<std::size_t>(dst)];
+        return entries[static_cast<std::size_t>(
+            c.x != hereCol ? c.x : rowBase + c.y)];
+    }
+
+    /** Entries held: grid width + height. */
+    std::size_t size() const { return entries.size(); }
+
+  private:
+    friend class RoutingAlgorithm;
+
+    /** The routing algorithm's node map (outlives every router). */
+    const Coord *cells = nullptr;
+    int hereCol = 0;
+    /** Index of row 0's entry: the grid width. */
+    int rowBase = 0;
+    std::vector<RouteEntry> entries;
+};
+
+/**
  * Strategy interface: pick the output port (and downstream VC class)
  * toward a destination node. `here` is always a router id; `dst` is a
  * node (core) id -- under concentration several nodes share a router,
@@ -116,9 +150,7 @@ class MeshShape
 class RoutingAlgorithm
 {
   public:
-    explicit RoutingAlgorithm(int concentration = 1)
-        : conc(concentration)
-    {}
+    RoutingAlgorithm(MeshShape router_grid, int concentration);
     virtual ~RoutingAlgorithm() = default;
 
     /**
@@ -129,32 +161,23 @@ class RoutingAlgorithm
      */
     virtual RouteEntry routeEntry(NodeId here, NodeId dst) const = 0;
 
-    /** Port-only view of routeEntry() for callers and legacy tests. */
-    Direction
-    route(NodeId here, NodeId dst) const
-    {
-        return routeEntry(here, dst).dir;
-    }
-
     /**
-     * Materialize this router's routing decisions as a dense
-     * destination-indexed table (two bytes per destination) so the RC
-     * pipeline stage can replace the virtual call with an array index.
+     * Router `here`'s decisions as a RouteTable, so the RC pipeline
+     * stage replaces the virtual call with two array loads. The table
+     * reads this object's node map: it must not outlive it.
      */
-    std::vector<RouteEntry>
-    buildTable(NodeId here, int num_nodes) const
-    {
-        std::vector<RouteEntry> table(static_cast<std::size_t>(num_nodes));
-        for (NodeId dst = 0; dst < num_nodes; ++dst)
-            table[static_cast<std::size_t>(dst)] = routeEntry(here, dst);
-        return table;
-    }
+    RouteTable routeTable(NodeId here) const;
 
   protected:
     /** Router serving a destination node. */
     NodeId dstRouter(NodeId dst) const { return dst / conc; }
 
+    MeshShape shape;
     int conc;
+
+  private:
+    /** Node id -> its router's coordinates, shared by all routers. */
+    std::vector<Coord> nodeCells;
 };
 
 /** X-first-then-Y dimension-order routing. */
@@ -162,13 +185,10 @@ class XYRouting : public RoutingAlgorithm
 {
   public:
     explicit XYRouting(MeshShape mesh_shape, int concentration = 1)
-        : RoutingAlgorithm(concentration), shape(mesh_shape)
+        : RoutingAlgorithm(mesh_shape, concentration)
     {}
 
     RouteEntry routeEntry(NodeId here, NodeId dst) const override;
-
-  private:
-    MeshShape shape;
 };
 
 /**
@@ -195,7 +215,6 @@ class TorusRouting : public RoutingAlgorithm
     RouteEntry routeDim(int here_c, int dst_c, int extent,
                         Direction inc_dir, Direction dec_dir) const;
 
-    MeshShape shape;
     bool escapeVcs;
 };
 

@@ -23,10 +23,10 @@
  * index): pendingMask (Idle VCs holding a head flit), waitMask (WaitVc)
  * and activeMask (Active VCs holding a flit). A pipeline stage ORs the
  * port words to know whether the router has any work at all, then
- * sweeps one port's word with countr_zero. The port count is fixed at
- * MAX_PORTS (mesh ports + the iNPG generator port) and a port holds at
- * most MAX_VCS VCs, so every VC count the config surface accepts
- * (numVnets x vcsPerVnet <= 32) uses this one layout.
+ * sweeps one port's word with countr_zero. Masks exist for MAX_PORTS
+ * (mesh ports + the iNPG generator port), blocks only for the router's
+ * own ports, and a port holds at most MAX_VCS VCs: every VC count the
+ * config surface accepts (numVnets x vcsPerVnet <= 32) uses one layout.
  */
 
 #ifndef INPG_NOC_VC_STATE_HH

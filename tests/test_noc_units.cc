@@ -58,7 +58,7 @@ TEST(MeshShape, RejectsBadDimensions)
 
 TEST(XYRouting, EveryPairMakesMonotoneProgress)
 {
-    // Property: following route() from any src reaches dst in exactly
+    // Property: following routeEntry() from any src reaches dst in exactly
     // hopDistance steps, moving in X before Y.
     MeshShape m(6, 5);
     XYRouting xy(m);
@@ -68,7 +68,7 @@ TEST(XYRouting, EveryPairMakesMonotoneProgress)
             int hops = 0;
             bool seen_y_move = false;
             while (here != d) {
-                Direction dir = xy.route(here, d);
+                Direction dir = xy.routeEntry(here, d).dir;
                 ASSERT_NE(dir, Direction::Local);
                 if (dir == Direction::North || dir == Direction::South)
                     seen_y_move = true;
@@ -80,7 +80,7 @@ TEST(XYRouting, EveryPairMakesMonotoneProgress)
                 ASSERT_LE(++hops, m.hopDistance(s, d));
             }
             EXPECT_EQ(hops, m.hopDistance(s, d));
-            EXPECT_EQ(xy.route(d, d), Direction::Local);
+            EXPECT_EQ(xy.routeEntry(d, d).dir, Direction::Local);
         }
     }
 }

@@ -361,6 +361,43 @@ TEST(MeshRouting, RouteEntriesStayClassAny)
             EXPECT_EQ(routing->routeEntry(s, d).vcClass, VC_CLASS_ANY);
 }
 
+TEST(RouteTable, EveryRouterNodePairMatchesRouteEntry)
+{
+    // The per-router separable table must reproduce the routing
+    // function for every (router, node) pair, on non-square grids (a
+    // swapped column/row index shows), both torus VC disciplines and
+    // concentrated meshes (node -> router mapping).
+    struct Case {
+        const char *spec;
+        bool escapeVcs;
+    };
+    for (const Case &c : {Case{"mesh:5x3", true}, Case{"mesh:8x8", true},
+                          Case{"torus:5x4", true}, Case{"torus:5x4", false},
+                          Case{"torus:3x3", true}, Case{"cmesh:4x4x2", true},
+                          Case{"cmesh:3x5x4", true}}) {
+        NocConfig cfg = nocFor(c.spec);
+        cfg.escapeVcs = c.escapeVcs;
+        auto topo = makeTopology(cfg);
+        auto routing = topo->makeRouting();
+        for (NodeId here = 0; here < topo->numRouters(); ++here) {
+            const RouteTable table = routing->routeTable(here);
+            EXPECT_EQ(table.size(), static_cast<std::size_t>(
+                                        cfg.meshWidth + cfg.meshHeight))
+                << c.spec;
+            for (NodeId dst = 0; dst < topo->numNodes(); ++dst) {
+                const RouteEntry want = routing->routeEntry(here, dst);
+                const RouteEntry got = table.lookup(dst);
+                EXPECT_TRUE(got == want)
+                    << c.spec << " escape_vcs=" << c.escapeVcs
+                    << " router " << here << " -> node " << dst << ": "
+                    << directionName(got.dir) << "/" << int(got.vcClass)
+                    << " != " << directionName(want.dir) << "/"
+                    << int(want.vcClass);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Channel-dependency verifier
 // ---------------------------------------------------------------------
