@@ -15,9 +15,9 @@
 #      a well-formed structured hang report;
 #   4. torus/fabric smoke -- a torus:8x8 iNPG run must be
 #      deterministic and bit-identical between the serial and parallel
-#      kernels, the no-escape-VC torus must be rejected by the
-#      channel-dependency verifier (exit 2), and a cmesh run must
-#      complete;
+#      kernels (as must a non-square torus:6x4), the no-escape-VC
+#      torus must be rejected by the channel-dependency verifier
+#      (exit 2), and a cmesh run must complete;
 #   5. experiment-ledger report smoke -- identical tiny configs must
 #      diff clean under tools/inpg_report, an injected metric delta
 #      must be caught by diff and regress, and `inpg_report figures`
@@ -148,6 +148,16 @@ run_torus_smoke() {
         echo "FAIL: torus threads=4 diverges from the serial kernel" >&2
         exit 1
     fi
+    # A non-square torus: rings of two lengths, so a route decision
+    # that swaps the column and row index cannot agree with itself
+    # across kernels by accident.
+    nsq="benchmark=freq mechanism=inpg topology=torus:6x4 big_routers=6"
+    out_nsq=$("$sim" $nsq csv=1)
+    if [ "$out_nsq" != "$("$sim" $nsq threads=4 csv=1)" ]; then
+        echo "FAIL: torus:6x4 threads=4 diverges from the serial" \
+             "kernel" >&2
+        exit 1
+    fi
     shape="benchmark=freq mechanism=inpg lock=tas topology=mesh:8x8"
     shape="$shape vcs_per_vnet=3 vc_depth=6 csv=1"
     out_shape=$("$sim" $shape threads=1)
@@ -170,8 +180,8 @@ run_torus_smoke() {
     fi
     "$sim" benchmark=freq mechanism=inpg topology=cmesh:4x4x4 \
         big_routers=4 csv=1 >/dev/null
-    echo "torus smoke OK: deterministic, serial==threads=4 (torus and" \
-         "3x6 VC shape), no-escape-VC rejected, cmesh completes"
+    echo "torus smoke OK: deterministic, serial==threads=4 (torus 8x8" \
+         "and 6x4, 3x6 VC shape), no-escape-VC rejected, cmesh completes"
 }
 
 # Experiment-ledger report smoke: two identical tiny configs must diff
