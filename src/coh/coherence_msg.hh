@@ -18,7 +18,6 @@
 #include <string>
 
 #include "common/types.hh"
-#include "noc/packet.hh"
 
 namespace inpg {
 
@@ -54,7 +53,7 @@ VnetId vnetForKind(CohMsgKind kind);
 bool carriesData(CohMsgKind kind);
 
 /**
- * One coherence protocol message (the payload of a NoC packet).
+ * One coherence protocol message (carried by value in a NoC Packet).
  *
  * Field use by kind:
  *  - GetS/GetX: requester; isLock marks lock-variable addresses (what a
@@ -69,7 +68,7 @@ bool carriesData(CohMsgKind kind);
  *  - InvAck: requester = acking core; collector = final collector; via
  *    fromBigRouter when the ack answers an early invalidation.
  */
-struct CoherenceMsg : PacketData {
+struct CoherenceMsg {
     CohMsgKind kind = CohMsgKind::GetS;
     Addr addr = INVALID_ADDR;
 
@@ -130,8 +129,6 @@ struct CoherenceMsg : PacketData {
 
     std::string toString() const;
 };
-
-using CohMsgPtr = std::shared_ptr<CoherenceMsg>;
 
 } // namespace inpg
 

@@ -44,14 +44,12 @@ CoherentSystem::CoherentSystem(const NocConfig &noc_cfg,
         Directory *dirp = dirs.back().get();
         net->niFor(n).setDeliverCallback(
             n, [l1p, dirp](const PacketPtr &pkt, Cycle now) {
-                auto msg =
-                    std::static_pointer_cast<CoherenceMsg>(pkt->payload);
-                INPG_ASSERT(msg != nullptr,
+                INPG_ASSERT(pkt->msg.addr != INVALID_ADDR,
                             "non-coherence packet delivered to a tile");
-                if (msg->toDirectory)
-                    dirp->receiveMessage(msg, now);
+                if (pkt->msg.toDirectory)
+                    dirp->receiveMessage(pkt, now);
                 else
-                    l1p->receiveMessage(msg, now);
+                    l1p->receiveMessage(pkt->msg, now);
             });
     }
 }

@@ -46,18 +46,19 @@ Directory::initValue(Addr addr, std::uint64_t value)
 }
 
 void
-Directory::receiveMessage(const CohMsgPtr &msg, Cycle now)
+Directory::receiveMessage(const PacketPtr &pkt, Cycle now)
 {
-    INPG_ASSERT(cfg.homeOf(msg->addr) == node,
+    const CoherenceMsg &msg = pkt->msg;
+    INPG_ASSERT(cfg.homeOf(msg.addr) == node,
                 "message homed at %d delivered to directory %d",
-                cfg.homeOf(msg->addr), node);
+                cfg.homeOf(msg.addr), node);
     (void)now;
-    queue.push_back(msg);
+    queue.push_back(pkt);
     ++stats.msgsReceived;
-    if (msg->kind == CohMsgKind::GetS || msg->kind == CohMsgKind::GetX) {
+    if (msg.kind == CohMsgKind::GetS || msg.kind == CohMsgKind::GetX) {
         Telemetry *t = sim.telemetry();
         if (t && t->lco)
-            t->lco->dirArrived(msg->requester, now);
+            t->lco->dirArrived(msg.requester, now);
     }
     wakeSelf();
 }
@@ -78,52 +79,54 @@ Directory::tick(Cycle now)
         return;
     }
 
-    CohMsgPtr msg = queue.front();
+    PacketPtr pkt = std::move(queue.front());
     queue.pop_front();
+    const CoherenceMsg &msg = pkt->msg;
     stats.queueDepthAtDequeue.add(static_cast<double>(queue.size()));
 
-    const Cycle cost = msg->kind == CohMsgKind::InvAck ? cfg.dirAckLatency
-                                                       : cfg.l2Latency;
+    const Cycle cost = msg.kind == CohMsgKind::InvAck ? cfg.dirAckLatency
+                                                      : cfg.l2Latency;
     busyUntil = now + cost;
 
     if (Telemetry *t = sim.telemetry(); t && t->trace) {
         t->trace->duration(TrackGroup::Directories,
                            static_cast<std::uint32_t>(node),
-                           cohMsgKindName(msg->kind), now, cost,
-                           static_cast<std::uint64_t>(msg->requester));
+                           cohMsgKindName(msg.kind), now, cost,
+                           static_cast<std::uint64_t>(msg.requester));
     }
 
-    DirEntry &e = entryFor(cfg.lineBase(msg->addr));
+    DirEntry &e = entryFor(cfg.lineBase(msg.addr));
     if (e.cold &&
-        (msg->kind == CohMsgKind::GetS || msg->kind == CohMsgKind::GetX)) {
+        (msg.kind == CohMsgKind::GetS || msg.kind == CohMsgKind::GetX)) {
         // First touch: block the bank on the DRAM fetch, then service.
         e.cold = false;
         blockedOnFetch = true;
         ++stats.coldMisses;
-        mem->fetch(msg->addr, [this, msg] {
+        mem->fetch(msg.addr, [this, pkt = std::move(pkt)] {
             blockedOnFetch = false;
             busyUntil = sim.now();
             wakeSelf();
-            process(msg, sim.now());
+            process(pkt->msg, sim.now());
         });
         return;
     }
 
     // Responses leave when the L2 access completes.
-    sim.events().schedule(busyUntil,
-                          [this, msg] { process(msg, sim.now()); });
+    sim.events().schedule(busyUntil, [this, pkt = std::move(pkt)] {
+        process(pkt->msg, sim.now());
+    });
 }
 
 void
-Directory::process(const CohMsgPtr &msg, Cycle now)
+Directory::process(const CoherenceMsg &msg, Cycle now)
 {
-    DirEntry &e = entryFor(cfg.lineBase(msg->addr));
-    if (msg->kind == CohMsgKind::GetS || msg->kind == CohMsgKind::GetX) {
+    DirEntry &e = entryFor(cfg.lineBase(msg.addr));
+    if (msg.kind == CohMsgKind::GetS || msg.kind == CohMsgKind::GetX) {
         // Fires when the bank finishes serving the request, so the
         // closed span covers queue wait + occupancy (+ DRAM).
         Telemetry *t = sim.telemetry();
         if (t && t->lco)
-            t->lco->dirServed(msg->requester, now);
+            t->lco->dirServed(msg.requester, now);
     }
 
     // Table dispatch: classify the entry against the requester and the
@@ -131,20 +134,20 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
     // declared-illegal pair (e.g. a GetS from the recorded owner, which
     // the imperative code would have answered with a self-forward)
     // panics with the precise coordinates.
-    const int event = dirEventOf(*msg);
+    const int event = dirEventOf(msg);
     if (event < 0)
         panic("directory %d cannot process %s", node,
-              msg->toString().c_str());
+              msg.toString().c_str());
     const DirEvent ev = static_cast<DirEvent>(event);
-    const DirState st = dirStateOf(e, msg->requester);
+    const DirState st = dirStateOf(e, msg.requester);
     const ProtoTransition &tr = directoryProtocolTable().require(
         static_cast<int>(st), static_cast<int>(ev));
 
     if (Telemetry *t = sim.telemetry(); t && t->recorder) {
         // Table/state/event names are static strings: stored by
         // pointer, no formatting on the hot path.
-        t->recorder->record(FrKind::ProtoDispatch, now, node, msg->addr,
-                            static_cast<std::uint64_t>(msg->requester),
+        t->recorder->record(FrKind::ProtoDispatch, now, node, msg.addr,
+                            static_cast<std::uint64_t>(msg.requester),
                             "dir", dirStateName(static_cast<int>(st)),
                             dirEventName(static_cast<int>(ev)));
     }
@@ -156,13 +159,13 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
       case DirEvent::GetX:
       case DirEvent::GetXDemotable:
         ++stats.getx;
-        if (msg->earlyInvalidated) {
+        if (msg.earlyInvalidated) {
             ++stats.getxEarlyInvalidated;
             // The big router pre-invalidated on this request's behalf:
             // mark the requester's acquire as big-router-served.
             Telemetry *t = sim.telemetry();
             if (t && t->lco)
-                t->lco->earlyInvSeen(msg->requester);
+                t->lco->earlyInvSeen(msg.requester);
         }
         break;
       case DirEvent::EarlyInvAck:
@@ -172,16 +175,16 @@ Directory::process(const CohMsgPtr &msg, Cycle now)
 
     ProtoOutbox &out = protoOutbox();
     out.clear();
-    dirAct(tr, e, epochCounter, *msg, now, stats, out);
+    dirAct(tr, e, epochCounter, msg, now, stats, out);
     if (out.fault)
         panic("directory %d: %s for %s", node, out.faultDetail.c_str(),
-              msg->toString().c_str());
+              msg.toString().c_str());
     for (const ProtoSend &sent : out.sends)
-        send(std::make_shared<CoherenceMsg>(sent.msg), sent.dst, now);
+        send(sent.msg, sent.dst, now);
 }
 
 void
-Directory::send(const CohMsgPtr &msg, NodeId dst, Cycle now)
+Directory::send(const CoherenceMsg &msg, NodeId dst, Cycle now)
 {
     ++sendCounter;
     if (cfg.dropDirResponseNth != 0 &&
@@ -191,21 +194,21 @@ Directory::send(const CohMsgPtr &msg, NodeId dst, Cycle now)
         // can be exercised end-to-end.
         ++stats.msgsDroppedTestknob;
         if (Telemetry *t = sim.telemetry(); t && t->recorder) {
-            t->recorder->record(FrKind::MsgDrop, now, node, msg->addr,
+            t->recorder->record(FrKind::MsgDrop, now, node, msg.addr,
                                 static_cast<std::uint64_t>(dst),
-                                cohMsgKindName(msg->kind));
+                                cohMsgKindName(msg.kind));
         }
         return;
     }
     if (Telemetry *t = sim.telemetry(); t && t->recorder) {
-        t->recorder->record(FrKind::MsgSend, now, node, msg->addr,
+        t->recorder->record(FrKind::MsgSend, now, node, msg.addr,
                             static_cast<std::uint64_t>(dst),
-                            cohMsgKindName(msg->kind));
+                            cohMsgKindName(msg.kind));
     }
-    const int flits = carriesData(msg->kind) ? net.config().dataPacketFlits
-                                             : net.config().ctrlPacketFlits;
+    const int flits = carriesData(msg.kind) ? net.config().dataPacketFlits
+                                            : net.config().ctrlPacketFlits;
     PacketPtr pkt =
-        net.makePacket(node, dst, vnetForKind(msg->kind), flits, msg);
+        net.makePacket(node, dst, vnetForKind(msg.kind), flits, msg);
     net.inject(pkt, now);
     ++stats.msgsSent;
 }
@@ -222,10 +225,10 @@ Directory::debugJson(Cycle now) const
     out["blocked_on_fetch"] = blockedOnFetch;
     JsonValue queued = JsonValue::array();
     std::size_t shown = 0;
-    for (const CohMsgPtr &m : queue) {
+    for (const PacketPtr &p : queue) {
         if (++shown > 8)
             break;
-        queued.push(m->toString());
+        queued.push(p->msg.toString());
     }
     out["queued"] = std::move(queued);
     return out;

@@ -45,8 +45,11 @@ class Directory : public Ticking
               Simulator &sim, MemoryController *memory,
               CohStats *coh_stats = nullptr);
 
-    /** Enqueue a protocol message for serialized processing. */
-    void receiveMessage(const CohMsgPtr &msg, Cycle now);
+    /**
+     * Enqueue a delivered packet's message for serialized processing;
+     * the queue keeps the packet, and so the message, alive.
+     */
+    void receiveMessage(const PacketPtr &pkt, Cycle now);
 
     void tick(Cycle now) override;
 
@@ -75,9 +78,9 @@ class Directory : public Ticking
     DirStats stats;
 
   private:
-    void process(const CohMsgPtr &msg, Cycle now);
+    void process(const CoherenceMsg &msg, Cycle now);
 
-    void send(const CohMsgPtr &msg, NodeId dst, Cycle now);
+    void send(const CoherenceMsg &msg, NodeId dst, Cycle now);
 
     NodeId node;
     CohConfig cfg;
@@ -93,7 +96,7 @@ class Directory : public Ticking
 
     /** Line table (protocol code never iterates it). */
     FlatHashMap<Addr, DirEntry> entries;
-    std::deque<CohMsgPtr> queue;
+    std::deque<PacketPtr> queue;
 
     Cycle busyUntil = 0;
     bool blockedOnFetch = false;

@@ -122,22 +122,22 @@ L1Controller::issueAfterL1Latency()
 }
 
 void
-L1Controller::receiveMessage(const CohMsgPtr &msg, Cycle now)
+L1Controller::receiveMessage(const CoherenceMsg &msg, Cycle now)
 {
     // Table dispatch: classify the message onto the L1 event space
     // (GetS/GetX panic there -- they never target an L1) and require a
     // declared-legal transition for the current stable line state. A
     // pair the table marks illegal panics with the declared reason
     // instead of tripping a downstream assertion or hanging.
-    const L1Event ev = l1EventForMsgKind(msg->kind);
-    const int st = static_cast<int>(lineState(msg->addr));
+    const L1Event ev = l1EventForMsgKind(msg.kind);
+    const int st = static_cast<int>(lineState(msg.addr));
     const ProtoTransition &tr =
         l1ProtocolTable().require(st, static_cast<int>(ev));
 
     Telemetry *t = sim.telemetry();
     if (t && t->recorder) {
         // Static table/state/event names; stored by pointer.
-        t->recorder->record(FrKind::ProtoDispatch, now, node, msg->addr,
+        t->recorder->record(FrKind::ProtoDispatch, now, node, msg.addr,
                             static_cast<std::uint64_t>(core), "l1",
                             l1TableStateName(st),
                             l1EventName(static_cast<int>(ev)));
@@ -145,8 +145,8 @@ L1Controller::receiveMessage(const CohMsgPtr &msg, Cycle now)
     LcoTracker *lco = lcoOf(t);
     switch (ev) {
       case L1Event::Inv:
-        if (lco && msg->fromBigRouter)
-            lco->earlyInvSeen(msg->requester);
+        if (lco && msg.fromBigRouter)
+            lco->earlyInvSeen(msg.requester);
         break;
       case L1Event::Data:
       case L1Event::DataExcl:
@@ -156,16 +156,16 @@ L1Controller::receiveMessage(const CohMsgPtr &msg, Cycle now)
         break;
       case L1Event::InvAck:
         if (cohStats)
-            cohStats->recordInvAckRtt(msg->requester,
-                                      now - msg->invGeneratedAt,
-                                      msg->fromBigRouter);
+            cohStats->recordInvAckRtt(msg.requester,
+                                      now - msg.invGeneratedAt,
+                                      msg.fromBigRouter);
         if (lco)
-            lco->invAckArrived(core, now, msg->fromBigRouter);
+            lco->invAckArrived(core, now, msg.fromBigRouter);
         break;
       default:
         break;
     }
-    dispatch(tr, msg.get(), now);
+    dispatch(tr, &msg, now);
 }
 
 void
@@ -284,11 +284,11 @@ L1Controller::send(const ProtoSend &out, Cycle now)
         if (LcoTracker *lco = lcoOf(sim.telemetry()))
             lco->requestSent(core, now);
     }
-    auto msg = std::make_shared<CoherenceMsg>(out.msg);
-    const int flits = carriesData(msg->kind) ? net.config().dataPacketFlits
-                                             : net.config().ctrlPacketFlits;
+    const CohMsgKind kind = out.msg.kind;
+    const int flits = carriesData(kind) ? net.config().dataPacketFlits
+                                        : net.config().ctrlPacketFlits;
     PacketPtr pkt =
-        net.makePacket(node, dst, vnetForKind(msg->kind), flits, msg);
+        net.makePacket(node, dst, vnetForKind(kind), flits, out.msg);
     pkt->priority = priority;
     net.inject(pkt, now);
     ++stats.msgsSent;

@@ -93,7 +93,7 @@ class L1Controller
     void setNextRequestPriority(int priority) { nextPriority = priority; }
 
     /** Deliver a protocol message addressed to this L1. */
-    void receiveMessage(const CohMsgPtr &msg, Cycle now);
+    void receiveMessage(const CoherenceMsg &msg, Cycle now);
 
     /** Stable state of a line (transients report their base state). */
     L1State lineState(Addr addr) const;

@@ -186,14 +186,4 @@ Config::getBool(const std::string &key, bool fallback) const
     return it == values.end() ? fallback : parseBool(it->second);
 }
 
-std::vector<std::string>
-Config::keys() const
-{
-    std::vector<std::string> out;
-    out.reserve(values.size());
-    for (const auto &kv : values)
-        out.push_back(kv.first);
-    return out;
-}
-
 } // namespace inpg

@@ -72,9 +72,6 @@ class Config
     double getDouble(const std::string &key, double fallback = 0.0) const;
     bool getBool(const std::string &key, bool fallback = false) const;
 
-    /** All keys in sorted order (for dumps). */
-    std::vector<std::string> keys() const;
-
   private:
     void parseString(const std::string &text,
                      const std::vector<std::string> *known);

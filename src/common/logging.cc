@@ -7,7 +7,7 @@ namespace inpg {
 
 namespace {
 
-LogLevel globalLevel = LogLevel::Warn;
+constexpr LogLevel globalLevel = LogLevel::Warn;
 
 void (*panicHook)() = nullptr;
 
@@ -24,12 +24,6 @@ LogLevel
 logLevel()
 {
     return globalLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
 }
 
 std::string

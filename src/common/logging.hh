@@ -30,9 +30,6 @@ enum class LogLevel {
 /** Process-wide log level; defaults to Warn. */
 LogLevel logLevel();
 
-/** Set the process-wide log level. */
-void setLogLevel(LogLevel level);
-
 /** printf-style formatting into a std::string. */
 std::string vformat(const char *fmt, std::va_list ap);
 

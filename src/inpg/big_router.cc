@@ -22,23 +22,21 @@ void
 BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
 {
     (void)inport;
-    auto msg = std::dynamic_pointer_cast<CoherenceMsg>(
-        flit->packet->payload);
-    if (!msg)
-        return;
+    Packet &pkt = *flit->packet;
+    CoherenceMsg &msg = pkt.msg;
 
     // Relay InvAcks answering our early invalidations toward the home
     // node (header rewrite before route computation).
-    if (flit->packet->dst == brNode &&
-        msg->kind == CohMsgKind::InvAck && msg->fromBigRouter) {
+    if (pkt.dst == brNode && msg.kind == CohMsgKind::InvAck &&
+        msg.fromBigRouter) {
         NodeId home = gen.onInvAckArrival(msg, now);
         if (home != INVALID_NODE) {
-            flit->packet->dst = home;
-            msg->toDirectory = true;
+            pkt.dst = home;
+            msg.toDirectory = true;
             ++stats.invAcksRelayed;
             if (Telemetry *t = sim.telemetry(); t && t->recorder) {
                 t->recorder->record(FrKind::AckRelay, now, nodeId(),
-                                    msg->addr,
+                                    msg.addr,
                                     static_cast<std::uint64_t>(home));
             }
         }
@@ -46,19 +44,18 @@ BigRouter::onHeadFlitArrived(const FlitPtr &flit, int inport, Cycle now)
     }
 
     // Stop later GetX[lock] arrivals under an existing barrier.
-    CohMsgPtr inv = gen.onGetXArrival(msg, now);
-    if (inv) {
-        auto pkt = std::make_shared<Packet>(nextGenPacketId++, brNode,
-                                            static_cast<NodeId>(
-                                                inv->requester),
-                                            vnetForKind(inv->kind),
-                                            /*num_flits=*/1, inv);
-        injectGenerated(pkt, now);
+    if (const CoherenceMsg *inv = gen.onGetXArrival(msg, now)) {
+        injectGenerated(
+            std::make_shared<Packet>(nextGenPacketId++, brNode,
+                                     static_cast<NodeId>(inv->requester),
+                                     vnetForKind(inv->kind),
+                                     /*num_flits=*/1, *inv),
+            now);
         ++stats.earlyInvsInjected;
         if (Telemetry *t = sim.telemetry(); t && t->recorder) {
             t->recorder->record(
-                FrKind::BarrierStop, now, nodeId(), msg->addr,
-                static_cast<std::uint64_t>(msg->requester));
+                FrKind::BarrierStop, now, nodeId(), msg.addr,
+                static_cast<std::uint64_t>(msg.requester));
         }
     }
 }
@@ -69,11 +66,7 @@ BigRouter::onHeadFlitGranted(const FlitPtr &flit, int inport,
 {
     (void)inport;
     (void)outport;
-    auto msg = std::dynamic_pointer_cast<CoherenceMsg>(
-        flit->packet->payload);
-    if (!msg)
-        return;
-    gen.onGetXTransfer(msg, now);
+    gen.onGetXTransfer(flit->packet->msg, now);
 }
 
 void

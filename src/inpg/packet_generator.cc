@@ -47,50 +47,49 @@ PacketGenerator::act(BrEvent ev, CoherenceMsg &msg, Cycle now)
               msg.toString().c_str());
 }
 
-CohMsgPtr
-PacketGenerator::onGetXArrival(const CohMsgPtr &msg, Cycle now)
+const CoherenceMsg *
+PacketGenerator::onGetXArrival(CoherenceMsg &msg, Cycle now)
 {
-    if (msg->kind != CohMsgKind::GetX || !msg->isLock ||
-        !msg->isAtomicOp || msg->earlyInvalidated)
+    if (msg.kind != CohMsgKind::GetX || !msg.isLock || !msg.isAtomicOp ||
+        msg.earlyInvalidated)
         return nullptr;
 
     // Expire first, so the classification never reports a barrier
     // whose TTL already lapsed.
     table.expire(now);
-    act(BrEvent::LockGetXArrival, *msg, now);
+    act(BrEvent::LockGetXArrival, msg, now);
     const ProtoOutbox &out = protoOutbox();
     if (out.sends.empty())
         return nullptr;
-    return std::make_shared<CoherenceMsg>(out.sends.front().msg);
+    return &out.sends.front().msg;
 }
 
 void
-PacketGenerator::onGetXTransfer(const CohMsgPtr &msg, Cycle now)
+PacketGenerator::onGetXTransfer(CoherenceMsg &msg, Cycle now)
 {
-    if (msg->kind != CohMsgKind::GetX || !msg->isLock ||
-        !msg->isAtomicOp)
+    if (msg.kind != CohMsgKind::GetX || !msg.isLock || !msg.isAtomicOp)
         return;
 
     table.expire(now);
-    act(BrEvent::LockGetXTransfer, *msg, now);
+    act(BrEvent::LockGetXTransfer, msg, now);
 }
 
 NodeId
-PacketGenerator::onInvAckArrival(const CohMsgPtr &msg, Cycle now)
+PacketGenerator::onInvAckArrival(CoherenceMsg &msg, Cycle now)
 {
-    if (msg->kind != CohMsgKind::InvAck || !msg->fromBigRouter)
+    if (msg.kind != CohMsgKind::InvAck || !msg.fromBigRouter)
         return INVALID_NODE;
 
     // No expiry here: a barrier whose TTL lapsed this very cycle must
     // still absorb the returning ack exactly as before table dispatch.
-    act(BrEvent::EarlyInvAck, *msg, now);
+    act(BrEvent::EarlyInvAck, msg, now);
 
     // The early Inv-Ack round trip closes here, at the generating
     // router; the onward relay to the home only trims the sharer list.
     if (cohStats)
-        cohStats->recordInvAckRtt(msg->requester,
-                                  now - msg->invGeneratedAt, true);
-    return cohCfg.homeOf(msg->addr);
+        cohStats->recordInvAckRtt(msg.requester, now - msg.invGeneratedAt,
+                                  true);
+    return cohCfg.homeOf(msg.addr);
 }
 
 } // namespace inpg

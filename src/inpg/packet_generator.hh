@@ -37,19 +37,20 @@ class PacketGenerator
     /**
      * Evaluate an arriving GetX[lock] head flit. When the request is
      * stopped, `msg` is mutated in place (earlyInvalidated) and the
-     * early Inv message to inject is returned; nullptr otherwise.
+     * early Inv message to inject is returned; nullptr otherwise. The
+     * Inv lives in protoOutbox() until the next protocol action.
      */
-    CohMsgPtr onGetXArrival(const CohMsgPtr &msg, Cycle now);
+    const CoherenceMsg *onGetXArrival(CoherenceMsg &msg, Cycle now);
 
     /** Observe a GetX[lock] transfer (ST): installs the barrier. */
-    void onGetXTransfer(const CohMsgPtr &msg, Cycle now);
+    void onGetXTransfer(CoherenceMsg &msg, Cycle now);
 
     /**
      * Evaluate an InvAck addressed to this router. Closes the EI entry
      * and redirects the ack to the home node.
      * @return the home node to forward to, or INVALID_NODE to ignore.
      */
-    NodeId onInvAckArrival(const CohMsgPtr &msg, Cycle now);
+    NodeId onInvAckArrival(CoherenceMsg &msg, Cycle now);
 
     /** Per-cycle maintenance (TTL expiry). */
     void maintain(Cycle now) { table.expire(now); }

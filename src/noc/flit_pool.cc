@@ -34,7 +34,7 @@ void
 FlitPool::recycle(Flit *flit)
 {
     INPG_ASSERT(flit->refs == 0, "recycling a live flit");
-    // Drop the payload now; parking it would pin the Packet (and the
+    // Drop the packet now; parking it would pin the Packet (and the
     // coherence message inside it) for the pool's whole lifetime.
     flit->packet.reset();
     freeList.push_back(flit);

@@ -11,7 +11,7 @@
  * Ownership rules (see also DESIGN.md):
  *  - every Flit belongs to exactly one FlitPool, the per-thread pool of
  *    the thread that created it; it returns there when the last FlitPtr
- *    drops (the payload PacketPtr is released at that moment, not
+ *    drops (its PacketPtr is released at that moment, not
  *    retained by the free list);
  *  - a simulated System must be constructed, run and destroyed on a
  *    single host thread: flits are born and die on that thread (the

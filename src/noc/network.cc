@@ -74,11 +74,11 @@ Network::ni(NodeId id)
 
 PacketPtr
 Network::makePacket(NodeId src, NodeId dst, VnetId vnet, int num_flits,
-                    std::shared_ptr<PacketData> payload)
+                    const CoherenceMsg &msg)
 {
     INPG_ASSERT(num_flits >= 1, "packet needs at least one flit");
     return std::make_shared<Packet>(nextPacketId++, src, dst, vnet,
-                                    num_flits, std::move(payload));
+                                    num_flits, msg);
 }
 
 void

@@ -70,9 +70,9 @@ class Network
     int numNodes() const { return cfg.numNodes(); }
     int numRouters() const { return cfg.numRouters(); }
 
-    /** Allocate a packet with a fresh network-unique id. */
+    /** Allocate a packet, carrying a copy of `msg`, with a fresh id. */
     PacketPtr makePacket(NodeId src, NodeId dst, VnetId vnet, int num_flits,
-                         std::shared_ptr<PacketData> payload = nullptr);
+                         const CoherenceMsg &msg = {});
 
     /** Inject a packet at its source NI. */
     void inject(const PacketPtr &pkt, Cycle now);

@@ -3,10 +3,12 @@
  * Network packet: the unit of end-to-end transfer across the NoC.
  *
  * A packet is serialized into flits at the source network interface and
- * reassembled at the destination. The payload is an opaque PacketData
- * subclass (the coherence layer derives CoherenceMsg from it); routers
- * that implement in-network services (iNPG big routers, OCOR arbitration)
- * inspect and may rewrite the on-wire header fields mirrored here.
+ * reassembled at the destination. It carries its coherence message by
+ * value, so one heap object holds both the network header and the
+ * message; routers that implement in-network services (iNPG big
+ * routers, OCOR arbitration) read and may rewrite either in place.
+ * The include points one way: noc/ depends on coh/coherence_msg.hh,
+ * which depends on nothing in noc/.
  */
 
 #ifndef INPG_NOC_PACKET_HH
@@ -16,14 +18,10 @@
 #include <memory>
 #include <string>
 
+#include "coh/coherence_msg.hh"
 #include "common/types.hh"
 
 namespace inpg {
-
-/** Base class for packet payloads carried across the network. */
-struct PacketData {
-    virtual ~PacketData() = default;
-};
 
 /** Unique packet identifier (per network). */
 using PacketId = std::uint64_t;
@@ -41,10 +39,9 @@ class Packet
 {
   public:
     Packet(PacketId packet_id, NodeId source, NodeId destination,
-           VnetId vnet_id, int num_flits,
-           std::shared_ptr<PacketData> payload_data = nullptr)
+           VnetId vnet_id, int num_flits, const CoherenceMsg &message = {})
         : id(packet_id), src(source), dst(destination), vnet(vnet_id),
-          numFlits(num_flits), payload(std::move(payload_data))
+          numFlits(num_flits), msg(message)
     {}
 
     PacketId id;
@@ -61,8 +58,11 @@ class Packet
      */
     PacketLifetime *lifetime = nullptr;
 
-    /** Opaque payload; coherence messages derive from PacketData. */
-    std::shared_ptr<PacketData> payload;
+    /**
+     * The coherence message; a default one (addr INVALID_ADDR) on the
+     * payload-free packets of NoC-only traffic.
+     */
+    CoherenceMsg msg;
 
     /**
      * OCOR priority carried in the head flit. Higher wins switch

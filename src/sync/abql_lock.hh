@@ -40,7 +40,6 @@ class AbqlLock : public LockPrimitive
     void acquire(ThreadId t, DoneFn done,
                  ThreadHooks *hooks = nullptr) override;
     void release(ThreadId t, DoneFn done) override;
-    LockKind kind() const override { return LockKind::Abql; }
 
     int numSlots() const
     {

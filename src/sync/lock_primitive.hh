@@ -79,9 +79,6 @@ class LockPrimitive
     /** Release the lock held by thread t; `done` fires when visible. */
     virtual void release(ThreadId t, DoneFn done) = 0;
 
-    /** Primitive kind. */
-    virtual LockKind kind() const = 0;
-
     const std::string &name() const { return lockName; }
 
     /**

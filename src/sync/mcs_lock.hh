@@ -35,7 +35,6 @@ class McsLock : public LockPrimitive
     void acquire(ThreadId t, DoneFn done,
                  ThreadHooks *hooks = nullptr) override;
     void release(ThreadId t, DoneFn done) override;
-    LockKind kind() const override { return LockKind::Mcs; }
 
   protected:
     /**

@@ -34,7 +34,6 @@ class QslLock : public LockPrimitive
     void acquire(ThreadId t, DoneFn done,
                  ThreadHooks *hooks = nullptr) override;
     void release(ThreadId t, DoneFn done) override;
-    LockKind kind() const override { return LockKind::Qsl; }
 
     /** Threads currently parked on the OS queue. */
     std::size_t sleepers() const { return sleepQueue.size(); }

@@ -31,7 +31,6 @@ class TasLock : public LockPrimitive
     void acquire(ThreadId t, DoneFn done,
                  ThreadHooks *hooks = nullptr) override;
     void release(ThreadId t, DoneFn done) override;
-    LockKind kind() const override { return LockKind::Tas; }
 
   private:
     void readPhase(ThreadId t);

@@ -30,7 +30,6 @@ class TicketLock : public LockPrimitive
     void acquire(ThreadId t, DoneFn done,
                  ThreadHooks *hooks = nullptr) override;
     void release(ThreadId t, DoneFn done) override;
-    LockKind kind() const override { return LockKind::Ticket; }
 
   private:
     void pollPhase(ThreadId t);

@@ -7,14 +7,12 @@ namespace inpg {
 
 namespace {
 
-/** Slice label for a packet: coherence kind if the payload is one. */
+/** Slice label: the coherence kind, or "pkt" on payload-free traffic. */
 const char *
 packetLabel(const Packet &pkt)
 {
-    if (const auto *msg =
-            dynamic_cast<const CoherenceMsg *>(pkt.payload.get()))
-        return cohMsgKindName(msg->kind);
-    return "pkt";
+    return pkt.msg.addr == INVALID_ADDR ? "pkt"
+                                        : cohMsgKindName(pkt.msg.kind);
 }
 
 } // namespace

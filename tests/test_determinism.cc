@@ -176,6 +176,10 @@ goldenRunText(const std::string &overrides, const char *bench,
     system.runUntil([&] { return workload.done(); });
 
     const Fingerprint f = fingerprintOf(system, workload);
+    // Every scheduled callback fits SmallFunction's inline buffer: the
+    // directory's bank-service events capture the queued packet, not
+    // its message by value.
+    EXPECT_EQ(system.sim().events().scheduleHeapAllocs(), 0u) << overrides;
     const LcoSummary lco = system.telemetry()->lco->summary();
     std::ostringstream os;
     os << "config " << overrides << " benchmark=" << bench

@@ -20,17 +20,17 @@
 namespace inpg {
 namespace {
 
-CohMsgPtr
+CoherenceMsg
 makeLockGetX(Addr addr, CoreId requester)
 {
-    auto msg = std::make_shared<CoherenceMsg>();
-    msg->kind = CohMsgKind::GetX;
-    msg->addr = addr;
-    msg->requester = requester;
-    msg->isLock = true;
-    msg->isAtomicOp = true;
-    msg->demotable = true;
-    msg->toDirectory = true;
+    CoherenceMsg msg;
+    msg.kind = CohMsgKind::GetX;
+    msg.addr = addr;
+    msg.requester = requester;
+    msg.isLock = true;
+    msg.isAtomicOp = true;
+    msg.demotable = true;
+    msg.toDirectory = true;
     return msg;
 }
 
@@ -58,14 +58,14 @@ TEST(PacketGenerator, FirstGetXInstallsLaterGetXStopped)
     h.gen->onGetXTransfer(first, 12);                    // installs
 
     auto second = makeLockGetX(0x500, 2);
-    CohMsgPtr inv = h.gen->onGetXArrival(second, 20);
+    const CoherenceMsg *inv = h.gen->onGetXArrival(second, 20);
     ASSERT_NE(inv, nullptr);
     EXPECT_EQ(inv->kind, CohMsgKind::Inv);
     EXPECT_EQ(inv->requester, 2);
     EXPECT_EQ(inv->collector, 5); // ack returns to this router
     EXPECT_TRUE(inv->fromBigRouter);
-    EXPECT_TRUE(second->earlyInvalidated);
-    EXPECT_TRUE(second->fromBigRouter);
+    EXPECT_TRUE(second.earlyInvalidated);
+    EXPECT_TRUE(second.fromBigRouter);
 }
 
 TEST(PacketGenerator, IgnoresNonLockNonAtomicAndAlreadyStopped)
@@ -75,17 +75,17 @@ TEST(PacketGenerator, IgnoresNonLockNonAtomicAndAlreadyStopped)
     h.gen->onGetXTransfer(first, 0);
 
     auto plain = makeLockGetX(0x500, 2);
-    plain->isLock = false;
+    plain.isLock = false;
     EXPECT_EQ(h.gen->onGetXArrival(plain, 1), nullptr);
 
     auto release_store = makeLockGetX(0x500, 3);
-    release_store->isAtomicOp = false; // a release store
+    release_store.isAtomicOp = false; // a release store
     EXPECT_EQ(h.gen->onGetXArrival(release_store, 2), nullptr);
     h.gen->onGetXTransfer(release_store, 2); // must not install either
     EXPECT_EQ(h.gen->stats.getxStopped, 0u);
 
     auto stopped_elsewhere = makeLockGetX(0x500, 4);
-    stopped_elsewhere->earlyInvalidated = true;
+    stopped_elsewhere.earlyInvalidated = true;
     EXPECT_EQ(h.gen->onGetXArrival(stopped_elsewhere, 3), nullptr);
 }
 
@@ -98,11 +98,11 @@ TEST(PacketGenerator, AckRelayClosesEiAndRedirectsHome)
     ASSERT_NE(h.gen->onGetXArrival(second, 1), nullptr);
     EXPECT_EQ(h.gen->barrierTable().numEis(0x500), 1u);
 
-    auto ack = std::make_shared<CoherenceMsg>();
-    ack->kind = CohMsgKind::InvAck;
-    ack->addr = 0x500;
-    ack->requester = 2;
-    ack->fromBigRouter = true;
+    CoherenceMsg ack;
+    ack.kind = CohMsgKind::InvAck;
+    ack.addr = 0x500;
+    ack.requester = 2;
+    ack.fromBigRouter = true;
     NodeId home = h.gen->onInvAckArrival(ack, 30);
     EXPECT_EQ(home, h.coh.homeOf(0x500));
     EXPECT_EQ(h.gen->barrierTable().numEis(0x500), 0u);
@@ -113,9 +113,9 @@ TEST(PacketGenerator, AckRelayClosesEiAndRedirectsHome)
     EXPECT_EQ(h.gen->stats.acksRelayedStale, 1u);
 
     // Non-early acks are not the generator's business.
-    auto normal = std::make_shared<CoherenceMsg>();
-    normal->kind = CohMsgKind::InvAck;
-    normal->addr = 0x500;
+    CoherenceMsg normal;
+    normal.kind = CohMsgKind::InvAck;
+    normal.addr = 0x500;
     EXPECT_EQ(h.gen->onInvAckArrival(normal, 32), INVALID_NODE);
 }
 
@@ -130,12 +130,14 @@ TEST(PacketGenerator, EiCapacityLimitsStops)
 
     auto first = makeLockGetX(0x100, 0);
     gen.onGetXTransfer(first, 0);
-    EXPECT_NE(gen.onGetXArrival(makeLockGetX(0x100, 1), 1), nullptr);
-    EXPECT_NE(gen.onGetXArrival(makeLockGetX(0x100, 2), 1), nullptr);
+    auto one = makeLockGetX(0x100, 1);
+    auto two = makeLockGetX(0x100, 2);
+    EXPECT_NE(gen.onGetXArrival(one, 1), nullptr);
+    EXPECT_NE(gen.onGetXArrival(two, 1), nullptr);
     // EI list full: the third competitor passes through unstopped.
     auto third = makeLockGetX(0x100, 3);
     EXPECT_EQ(gen.onGetXArrival(third, 2), nullptr);
-    EXPECT_FALSE(third->earlyInvalidated);
+    EXPECT_FALSE(third.earlyInvalidated);
 }
 
 // ---------------------------------------------------------------------

@@ -210,11 +210,12 @@ TEST(Directory, InitValueOnlyBeforeFirstTouch)
 TEST(Directory, RejectsMisroutedMessages)
 {
     DirHarness h;
-    auto msg = std::make_shared<CoherenceMsg>();
-    msg->kind = CohMsgKind::GetS;
-    msg->addr = h.coh.lineHomedAt(3);
-    msg->toDirectory = true;
-    EXPECT_DEATH(h.sys->directory(4).receiveMessage(msg, 0), "homed at");
+    CoherenceMsg msg;
+    msg.kind = CohMsgKind::GetS;
+    msg.addr = h.coh.lineHomedAt(3);
+    msg.toDirectory = true;
+    PacketPtr pkt = h.sys->network().makePacket(0, 4, VNET_REQUEST, 1, msg);
+    EXPECT_DEATH(h.sys->directory(4).receiveMessage(pkt, 0), "homed at");
 }
 
 // ---------------------------------------------------------------------
@@ -237,14 +238,15 @@ TEST(ProtocolTables, DirectorySelfGetSIsLoudlyIllegal)
     h.runUntil([&] { return stored; });
     ASSERT_EQ(h.sys->directory(3).entry(a)->owner, 5);
 
-    auto msg = std::make_shared<CoherenceMsg>();
-    msg->kind = CohMsgKind::GetS;
-    msg->addr = a;
-    msg->requester = 5;
-    msg->toDirectory = true;
+    CoherenceMsg msg;
+    msg.kind = CohMsgKind::GetS;
+    msg.addr = a;
+    msg.requester = 5;
+    msg.toDirectory = true;
+    PacketPtr pkt = h.sys->network().makePacket(5, 3, VNET_REQUEST, 1, msg);
     EXPECT_DEATH(
         {
-            h.sys->directory(3).receiveMessage(msg, h.sim.now());
+            h.sys->directory(3).receiveMessage(pkt, h.sim.now());
             h.sim.run(1000);
         },
         "illegal transition \\(OwnedSelf, GetS\\)");

@@ -224,6 +224,39 @@ TEST(PacketLifetime, QueueAndNetworkLegsSumToTotalLatency)
     EXPECT_GE(ps.hops.min(), 1.0);
 }
 
+TEST(PacketLifetime, RouterSlicesNamedByCoherenceKind)
+{
+    // Each hop slice on a router track carries its packet's coherence
+    // kind; "pkt" is kept for payload-free NoC traffic only.
+    SystemConfig cfg;
+    cfg.noc.meshWidth = 4;
+    cfg.noc.meshHeight = 4;
+    cfg.lockKind = LockKind::Tas;
+    cfg.mechanism = Mechanism::Inpg;
+    cfg.telemetry.applySpec("packets,trace");
+    cfg.finalize();
+    System system(cfg);
+    Workload::Params wp;
+    wp.profile = benchmarkByName("freq");
+    wp.threads = cfg.numCores();
+    wp.csScale = 0.005;
+    wp.lockKind = cfg.lockKind;
+    Workload w(wp, system.coherent(), system.locks(), system.sim());
+    w.start();
+    system.runUntil([&] { return w.done(); });
+
+    const std::string json = system.telemetry()->trace->writeJson();
+    const auto routerSlice = [](const char *kind) {
+        return std::string("\"ph\":\"X\",\"name\":\"") + kind +
+               "\",\"pid\":" +
+               std::to_string(static_cast<unsigned>(TrackGroup::Routers)) +
+               ",";
+    };
+    EXPECT_NE(json.find(routerSlice("GetX")), std::string::npos);
+    EXPECT_NE(json.find(routerSlice("InvAck")), std::string::npos);
+    EXPECT_EQ(json.find("\"name\":\"pkt\""), std::string::npos);
+}
+
 TEST(TraceEvents, SinkCapsAndCounts)
 {
     TraceEventSink sink(/*max_events=*/3);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Determinism lint for the iNPG simulator sources (DESIGN.md Section 8).
 
-Rules (numbered as DESIGN.md invariants 10-20):
+Rules (numbered as DESIGN.md invariants 10-21):
 
   unordered-iteration  (inv. 10)
       No range-for over std::unordered_map / std::unordered_set in the
@@ -91,6 +91,14 @@ Rules (numbered as DESIGN.md invariants 10-20):
       checker both call it. A switch on the action anywhere else is a
       second copy of the protocol that the checker does not explore.
 
+  coherence-msg-by-value (inv. 21)
+      No std::shared_ptr<CoherenceMsg> / std::make_shared<CoherenceMsg>,
+      and no dynamic_cast / dynamic_pointer_cast to a CoherenceMsg or
+      of a packet, in src/. A Packet carries its CoherenceMsg by value:
+      one heap object per message, read in place by the big routers.
+      A second heap object or a payload cast brings back the atomic
+      refcount and the per-head-flit cast this layout removed.
+
 A finding is suppressed by an end-of-line marker naming its rule:
 
     auto t0 = std::chrono::steady_clock::now();  // lint:allow(nondeterminism)
@@ -121,6 +129,13 @@ NONDET_RE = re.compile(
     r"|std::chrono::(?:system_clock|steady_clock|high_resolution_clock)"
 )
 SHARED_PTR_FLIT_RE = re.compile(r"std::shared_ptr\s*<\s*Flit\b")
+# A coherence message on its own heap object, or a cast of a packet
+# (or to a message) standing in for reading Packet::msg.
+COH_MSG_HEAP_RE = re.compile(
+    r"\b(?:shared_ptr|make_shared)\s*<\s*(?:const\s+)?CoherenceMsg\b"
+    r"|\bdynamic_(?:pointer_)?cast\s*<\s*(?:const\s+)?CoherenceMsg\b"
+    r"|\bdynamic_(?:pointer_)?cast\s*<[^>;]*>\s*\([^;]*?"
+    r"\b(?:packet|pkt|payload)\b")
 NODE_CONTAINER_RE = re.compile(
     r"std::(?:deque|list|forward_list|map|set|multimap|multiset)\s*<"
     r"|#include\s*<(?:deque|list|forward_list|map|set)>")
@@ -329,6 +344,22 @@ def check_shared_ptr_flit(files):
     return findings
 
 
+def check_coherence_msg_by_value(files):
+    findings = []
+    for path, text in files:
+        lines = text.splitlines()
+        for m in COH_MSG_HEAP_RE.finditer(text):
+            ln = line_of(text, m.start())
+            if allowed(lines, ln, "coherence-msg-by-value"):
+                continue
+            findings.append(Finding(
+                "coherence-msg-by-value", path, ln,
+                "'%s': a Packet carries its CoherenceMsg by value; read "
+                "Packet::msg instead of a second heap object or a "
+                "payload cast" % m.group(0).strip()))
+    return findings
+
+
 def check_node_container_noc(files):
     findings = []
     for path, text in files:
@@ -500,6 +531,7 @@ def run_lint(root):
     findings += check_raw_flit_new(sim_files)
     findings += check_nondeterminism(sim_files)
     findings += check_shared_ptr_flit(all_files)
+    findings += check_coherence_msg_by_value(all_files)
     findings += check_node_container_noc(all_files)
     findings += check_unbounded_recording(all_files)
     findings += check_threading_scope(all_files)
@@ -520,6 +552,7 @@ void f() {
     int r = rand();
     auto t = std::chrono::steady_clock::now();
     std::shared_ptr<Flit> keep;
+    auto msg = std::dynamic_pointer_cast<CoherenceMsg>(flit->packet->payload);
     std::deque<int> queue;
     std::atomic<int> racy{0};
     int x = id % cfg.meshWidth;
@@ -571,6 +604,7 @@ def run_self_test():
     findings += check_raw_flit_new(files)
     findings += check_nondeterminism(files)
     findings += check_shared_ptr_flit(files)
+    findings += check_coherence_msg_by_value(files)
     findings += check_node_container_noc(files)
     findings += check_unbounded_recording(
         [(Path("src/telemetry/flight_recorder_bad.cc"),
@@ -580,9 +614,10 @@ def run_self_test():
     findings += check_table_row_construction(files)
     fired = {f.rule for f in findings}
     want = {"unordered-iteration", "raw-flit-new", "nondeterminism",
-            "shared-ptr-flit", "node-container-noc",
-            "unbounded-recording", "threading-outside-parallel",
-            "coordinate-arithmetic", "table-row-outside-tables"}
+            "shared-ptr-flit", "coherence-msg-by-value",
+            "node-container-noc", "unbounded-recording",
+            "threading-outside-parallel", "coordinate-arithmetic",
+            "table-row-outside-tables"}
     failures = want - fired
     for rule in sorted(want):
         status = "ok" if rule in fired else "MISSED"
@@ -613,7 +648,7 @@ def run_self_test():
     # Node containers stay legal outside src/noc (the coherence layer
     # keeps deques on its cold paths).
     coh = [(Path("src/coh/ok.cc"),
-            strip_comments("std::deque<CohMsgPtr> deferred;\n"))]
+            strip_comments("std::deque<PacketPtr> queue;\n"))]
     if check_node_container_noc(coh):
         print("lint_inpg --self-test: MISSED: node containers outside "
               "src/noc are exempt")
@@ -621,6 +656,24 @@ def run_self_test():
     else:
         print("lint_inpg --self-test: ok: node containers outside "
               "src/noc are exempt")
+
+    # Each heap-message form fires; a downcast of a router (the big
+    # router lookups) is not a packet cast and stays legal.
+    heap_msgs = [
+        "CohMsgPtr m = std::make_shared<CoherenceMsg>();\n",
+        "std::deque<std::shared_ptr<CoherenceMsg>> q;\n",
+        "auto *m = dynamic_cast<const CoherenceMsg *>(pkt.payload.get());\n"]
+    missed = [s for s in heap_msgs if not check_coherence_msg_by_value(
+        [(Path("src/coh/bad.cc"), strip_comments(s))])]
+    router_cast = [(Path("src/harness/ok.cc"), strip_comments(
+        "auto *br = dynamic_cast<BigRouter *>(&net.router(r));\n"))]
+    if missed or check_coherence_msg_by_value(router_cast):
+        print("lint_inpg --self-test: MISSED: coherence-msg-by-value "
+              "fires on each heap-message form and spares router casts")
+        failures.add("coherence-msg-scope")
+    else:
+        print("lint_inpg --self-test: ok: coherence-msg-by-value fires "
+              "on each heap-message form and spares router casts")
 
     # Threading primitives are legal inside the parallel kernel and
     # the harness thread pool.
@@ -775,7 +828,7 @@ def main():
         return 1
     print("lint_inpg: clean (%s)" % ", ".join(
         ("unordered-iteration", "raw-flit-new", "nondeterminism",
-         "shared-ptr-flit", "node-container-noc",
+         "shared-ptr-flit", "coherence-msg-by-value", "node-container-noc",
          "unbounded-recording", "threading-outside-parallel",
          "coordinate-arithmetic", "table-row-outside-tables",
          "action-dispatch-outside-actions", "ad-hoc-json")))
